@@ -409,10 +409,9 @@ class HardyResult(NamedTuple):
 
 def _hardy_form1_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
     """{ integral [t^{delta-1} * integral_0^t phi(u) du]^q dt/t }^{1/q}."""
-    lows = np.concatenate(([0.0], phi.breaks[:-1])) if len(phi) else phi.breaks
     running = 0.0
     segments = []  # (lo, hi, alpha, beta): Phi(t) = alpha + beta t on (lo, hi)
-    for lo, hi, v in zip(lows, phi.breaks, phi.values):
+    for lo, hi, v in zip(phi.lows, phi.breaks, phi.values):
         segments.append((float(lo), float(hi), running - v * float(lo), float(v)))
         running += float(v) * (float(hi) - float(lo))
     if len(phi):
@@ -524,11 +523,10 @@ def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
     """{ integral [t^{1-delta} * integral_t^inf phi(u) du/u]^q dt/t }^{1/q}."""
     if not len(phi):
         return 0.0
-    lows = np.concatenate(([0.0], phi.breaks[:-1]))
     # Psi(t) = E_j - phi_j log t on piece j, accumulated from the right
     tail = 0.0
     raw = []
-    for lo, hi, v in zip(lows[::-1], phi.breaks[::-1], phi.values[::-1]):
+    for lo, hi, v in zip(phi.lows[::-1], phi.breaks[::-1], phi.values[::-1]):
         e_j = float(v) * math.log(float(hi)) + tail
         raw.append((float(lo), float(hi), e_j, float(v)))
         if v > 0 and lo > 0:

@@ -510,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             sub.add_argument("--out", help="report JSON path")
             sub.add_argument("--csv", help="per-trial CSV path")
-            sub.add_argument("--tolerance", type=float, help="violation slack")
             sub.set_defaults(func=_cmd_verify)
         else:
             sub.add_argument("--budget", type=int, default=500, help="perturbations to try")

@@ -14,8 +14,9 @@ import hashlib
 import io
 import json
 import math
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,6 +63,15 @@ def _write(obj: Any, out: io.StringIO) -> None:
         out.write("]")
     elif isinstance(obj, str):
         out.write(json.dumps(obj, ensure_ascii=False))
+    # lists before the Mapping ABC, whose isinstance check is slower: most
+    # nodes of an atom list are lists
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for j, item in enumerate(obj):
+            if j:
+                out.write(",")
+            _write(item, out)
+        out.write("]")
     elif isinstance(obj, Mapping):
         out.write("{")
         for j, key in enumerate(sorted(obj)):
@@ -75,13 +85,6 @@ def _write(obj: Any, out: io.StringIO) -> None:
         out.write("}")
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for j, item in enumerate(obj):
-            if j:
-                out.write(",")
-            _write(item, out)
-        out.write("]")
     elif hasattr(obj, "to_json"):
         _write(obj.to_json(), out)
     else:
@@ -96,11 +99,17 @@ def canonical_json(obj: Any) -> str:
 
 
 def drop_keys(obj: Any, keys: Sequence[str] = VOLATILE_KEYS) -> Any:
-    """Recursively remove the named mapping keys (for stable comparison)."""
-    if isinstance(obj, Mapping):
-        return {k: drop_keys(v, keys) for k, v in obj.items() if k not in keys}
+    """Recursively remove the named mapping keys (for stable comparison).
+
+    Objects with a ``to_json`` method are converted first, as
+    :func:`canonical_json` would, so their keys are removed too.
+    """
+    if hasattr(obj, "to_json"):
+        obj = obj.to_json()
     if isinstance(obj, (list, tuple)):
         return [drop_keys(item, keys) for item in obj]
+    if isinstance(obj, Mapping):
+        return {k: drop_keys(v, keys) for k, v in obj.items() if k not in keys}
     return obj
 
 

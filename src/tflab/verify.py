@@ -474,7 +474,6 @@ def _uncertainty_trial(
     density = rng.uniform(0.05, 1.0)
     mask = rng.random((n, n)) < density
     mask[int(rng.integers(n)), int(rng.integers(n))] = True
-    omega = np.argwhere(mask)
     idx = instance.indices
     if instance.theorem == "t5i":
         den = f.lorentz_norm(idx.p1, idx.u) * g.lorentz_norm(idx.p2, idx.v)
@@ -484,7 +483,7 @@ def _uncertainty_trial(
         return None
     try:
         _, lhs, rhs, _, _ = uncertainty_check(
-            f, g, [tuple(pt) for pt in omega], idx.q, u=idx.u, v=idx.v
+            f, g, mask, idx.q, u=idx.u, v=idx.v
         )
     except ValueError:
         return None
@@ -623,12 +622,8 @@ def restricted_weak_type_check(
     alpha = as_float(recip(r))
     lhs = 0.0
     if len(hstar):
-        total = 0.0
-        for hi, val, lo in zip(
-            hstar.breaks, hstar.values, np.concatenate(([0.0], hstar.breaks[:-1]))
-        ):
-            total += val * (hi - lo)
-            lhs = max(lhs, float(hi) ** alpha * (total / float(hi)))
+        his = hstar.breaks
+        lhs = float(np.max(his**alpha * (hstar._cum_integral / his)))
         if is_inf(r):
             lhs = max(lhs, float(hstar.values[0]))
     mu_u = group.measure(len(u_idx))
@@ -684,7 +679,7 @@ def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
 def uncertainty_check(
     f: GroupFunction,
     g: GroupFunction,
-    omega: Sequence[Union[int, Tuple[int, int]]],
+    omega: Union[np.ndarray, Sequence[Union[int, Tuple[int, int]]]],
     q: ExponentLike,
     u: ExponentLike = 1,
     v: ExponentLike = 1,
@@ -697,6 +692,8 @@ def uncertainty_check(
     eps is the spectrogram energy captured by Omega (or a requested lower
     amount), s solves 1/q + 1/s = 1/2, and unless given, w and r are the
     canonical choice 1/w = clamp(1/u + 1/v - 1, 0, 1/2), 1/r = 1/2 - 1/w.
+    Omega is a boolean (|G|, |G|) mask, or a list of (x, xi) pairs or flat
+    indices x * |G| + xi.
     Returns (eps, chain lhs, chain rhs, implied measure lower bound, holds).
     """
     f._check_group(g)
@@ -718,15 +715,20 @@ def uncertainty_check(
     if recip(r) + recip(w) != Fraction(1, 2):
         raise ValueError("need 1/r + 1/w = 1/2")
 
-    mask = np.zeros((n, n), dtype=bool)
-    for pt in omega:
-        if isinstance(pt, tuple) or (
-            isinstance(pt, (list, np.ndarray)) and len(pt) == 2
-        ):
-            x, xi = int(pt[0]), int(pt[1])
-        else:
-            x, xi = divmod(int(pt), n)
-        mask[x % n, xi % n] = True
+    if isinstance(omega, np.ndarray) and omega.dtype == bool:
+        if omega.shape != (n, n):
+            raise ValueError(f"omega mask must have shape {(n, n)}, got {omega.shape}")
+        mask = omega
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        for pt in omega:
+            if isinstance(pt, tuple) or (
+                isinstance(pt, (list, np.ndarray)) and len(pt) == 2
+            ):
+                x, xi = int(pt[0]), int(pt[1])
+            else:
+                x, xi = divmod(int(pt), n)
+            mask[x % n, xi % n] = True
     if not mask.any():
         raise ValueError("omega must be nonempty")
 

@@ -259,6 +259,15 @@ def test_uncertainty_explicit_omega(capsys, workdir) -> None:
     assert json.loads(out)["holds"] is True
 
 
+def test_verify_rejects_tolerance_flag(capsys) -> None:
+    # verify always judges violations at the library's TOLERANCE
+    code, _ = run(capsys, "verify", "--theorem", "t2", "--group", "6", "--q", "3",
+                  "--trials", "2", "--tolerance", "0.5")
+    assert code == 2
+    args = build_parser().parse_args(["baseline", "--tolerance", "1e-9"])
+    assert args.tolerance == 1e-9
+
+
 def test_missing_input_file_is_usage_error(workdir) -> None:
     assert main(["norm", "--group", "6", "--input", str(workdir / "nope.json"),
                  "--p", "2", "--q", "1"]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -267,6 +268,37 @@ def test_oracle_agreement_property(values, pq) -> None:
     a = lorentz_norm(f, *pq)
     b = lorentz_norm_via_distribution(f, *pq)
     assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+@st.composite
+def wide_range_functions(draw) -> MeasuredFunction:
+    """Ties, zeros (possibly all), unequal weights and shuffled ids, with
+    magnitudes anywhere from 1e-150 to 1e150."""
+    n = draw(st.integers(1, 10))
+    levels = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 10.0))
+    mags = np.array(draw(st.lists(levels, min_size=n, max_size=n)))
+    units = st.sampled_from([1, -1, 1j, -1j])
+    phases = np.array(draw(st.lists(units, min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.1, 4.0), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return MeasuredFunction(ids, weights, scale * mags * phases)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    wide_range_functions(),
+    st.floats(0.1, 20.0),
+    st.sampled_from([Fraction(1, 2), 1, 2, 4, math.inf]),
+    st.integers(-100, 100),
+)
+def test_oracle_agreement_and_homogeneity_wide_range(f, p, q, k) -> None:
+    a = lorentz_norm(f, p, q)
+    assert math.isfinite(a)
+    assert a == pytest.approx(lorentz_norm_via_distribution(f, p, q), rel=1e-9, abs=0)
+    c = 10.0**k
+    scaled = lorentz_norm(f.scale_values(c), p, q)
+    assert scaled == pytest.approx(c * a, rel=1e-9, abs=0)
 
 
 # -- Holder and embedding --------------------------------------------------------

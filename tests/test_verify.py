@@ -25,7 +25,7 @@ from tflab import (
     verify_theorem,
     weyl_norm_sample,
 )
-from tflab.serialize import canonical_json, drop_keys
+from tflab.serialize import canonical_json, drop_keys, fingerprint
 import tflab.verify as verify_mod
 
 
@@ -182,6 +182,13 @@ def test_verify_theorem_deterministic() -> None:
     assert canonical_json(drop_keys(a)) == canonical_json(drop_keys(b))
 
 
+def test_report_object_fingerprint_is_stable() -> None:
+    inst = make("t2", trials=6, q=3)
+    a, b = verify_theorem(inst), verify_theorem(inst)
+    # runtime_ms differs between the runs and must not reach the digest
+    assert fingerprint(a) == fingerprint(b) == fingerprint(a.to_json())
+
+
 def test_verify_theorem_rejects_inadmissible() -> None:
     with pytest.raises(ValueError):
         verify_theorem(make("t1", q=4, p=2, u=1, v=1, w=1))
@@ -281,9 +288,11 @@ def test_uncertainty_flat_indices_match_pairs() -> None:
     f, win = sample_functions("gaussian-random", g, 13)
     pairs = [(1, 2), (3, 4), (5, 0)]
     flat = [x * 6 + xi for x, xi in pairs]
-    assert uncertainty_check(f, win, pairs, q=4) == uncertainty_check(
-        f, win, flat, q=4
-    )
+    mask = np.zeros((6, 6), dtype=bool)
+    mask[tuple(np.transpose(pairs))] = True
+    expected = uncertainty_check(f, win, pairs, q=4)
+    assert uncertainty_check(f, win, flat, q=4) == expected
+    assert uncertainty_check(f, win, mask, q=4) == expected
 
 
 def test_uncertainty_rejects_degenerate_requests() -> None:
@@ -296,6 +305,8 @@ def test_uncertainty_rejects_degenerate_requests() -> None:
         uncertainty_check(f, win, omega, q=4, epsilon=1e9)
     with pytest.raises(ValueError):
         uncertainty_check(f, win, [], q=4)
+    with pytest.raises(ValueError):
+        uncertainty_check(f, win, np.ones((6, 5), dtype=bool), q=4)
 
 
 # -- extremizers and operator norms ------------------------------------------------------
