@@ -38,11 +38,6 @@ from .exponents import (
 from .groups import (
     FiniteAbelianGroup,
     GroupEndomorphism,
-    apply_endomorphism,
-    certify_automorphism,
-    character,
-    dual_automorphism,
-    modulus,
     parse_group,
 )
 from .lorentz import (
@@ -74,12 +69,10 @@ from .tfa import (
     stft,
     stft_dilate,
     stft_lebesgue_bound_check,
-    stft_via_inner_products,
     tf_pairing,
     tf_shift,
     weyl_apply,
     weyl_operator,
-    weyl_operator_pointmass,
     wigner_factorization_check,
     wigner_tau,
 )

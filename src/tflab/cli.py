@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .serialize import canonical_json, load_json, write_csv, write_json
 from .tfa import (
     GroupFunction,
     TFArray,
-    fourier,
+    fourier_fft,
     rihaczek,
     stft,
     weyl_apply,
@@ -197,7 +197,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
 def _cmd_fourier(args: argparse.Namespace) -> int:
     grp = parse_group(args.group, haar_weight=args.weight)
     f = GroupFunction(grp, _load_values(args.input, grp.size))
-    _emit(args, _dump_values(fourier(f).values))
+    _emit(args, _dump_values(fourier_fft(f).values))
     return 0
 
 
@@ -335,10 +335,11 @@ def _cmd_extremize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_omega(spec: str, grp: FiniteAbelianGroup, seed: int) -> List[tuple]:
+def _parse_omega(spec: str, grp: FiniteAbelianGroup, seed: int) -> np.ndarray:
+    """The boolean (|G|, |G|) mask of Omega; listed points reduce mod |G|."""
     n = grp.size
     if spec == "all":
-        return [(x, xi) for x in range(n) for xi in range(n)]
+        return np.ones((n, n), dtype=bool)
     if spec.startswith("random:"):
         density = float(spec.split(":", 1)[1])
         if not 0 < density <= 1:
@@ -346,12 +347,12 @@ def _parse_omega(spec: str, grp: FiniteAbelianGroup, seed: int) -> List[tuple]:
         rng = np.random.default_rng(seed)
         mask = rng.random((n, n)) < density
         mask[int(rng.integers(n)), int(rng.integers(n))] = True
-        return [tuple(pt) for pt in np.argwhere(mask)]
-    points = []
+        return mask
+    mask = np.zeros((n, n), dtype=bool)
     for row in spec.split(";"):
         x, xi = row.split(",")
-        points.append((int(x), int(xi)))
-    return points
+        mask[int(x) % n, int(xi) % n] = True
+    return mask
 
 
 def _cmd_uncertainty(args: argparse.Namespace) -> int:
@@ -369,7 +370,7 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
             "chain_lhs": lhs,
             "chain_rhs": rhs,
             "measure_lower_bound": bound,
-            "omega_measure": len(omega) * grp.haar_weight * grp.dual_weight,
+            "omega_measure": int(omega.sum()) * grp.haar_weight * grp.dual_weight,
             "holds": holds,
         },
     )

@@ -23,11 +23,6 @@ __all__ = [
     "FiniteAbelianGroup",
     "GroupEndomorphism",
     "parse_group",
-    "character",
-    "apply_endomorphism",
-    "certify_automorphism",
-    "dual_automorphism",
-    "modulus",
 ]
 
 ElementLike = Union[int, Sequence[int]]
@@ -267,14 +262,6 @@ class GroupEndomorphism:
             raise ValueError("endomorphism is not an automorphism")
         return inv
 
-    def modulus(self) -> float:
-        """mu(G) / mu(image): equals 1 for every automorphism of a finite group."""
-        if not self.is_automorphism:
-            raise ValueError("modulus is defined for automorphisms only")
-        g = self.group
-        image_size = np.unique(self.permutation).size
-        return g.measure(g.size) / g.measure(image_size)
-
     def dual(self) -> "GroupEndomorphism":
         """The dual map M* on the dual group, with <Mx, xi> = <x, M* xi>.
 
@@ -291,29 +278,3 @@ class GroupEndomorphism:
                 star[j, i] = (num // n[i]) % n[j]
         return GroupEndomorphism(g.dual, star)
 
-
-# -- functional wrappers mirroring the class API ---------------------------
-
-
-def character(group: FiniteAbelianGroup, x: ElementLike, xi: ElementLike) -> complex:
-    return group.character(x, xi)
-
-
-def apply_endomorphism(m: GroupEndomorphism, x: ElementLike) -> Tuple[int, ...]:
-    return m.apply(x)
-
-
-def certify_automorphism(
-    m: GroupEndomorphism,
-) -> Tuple[bool, Optional[GroupEndomorphism]]:
-    return m._certificate
-
-
-def dual_automorphism(m: GroupEndomorphism) -> GroupEndomorphism:
-    if not m.is_automorphism:
-        raise ValueError("dual automorphism requires an automorphism")
-    return m.dual()
-
-
-def modulus(m: GroupEndomorphism) -> float:
-    return m.modulus()

@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -409,6 +409,17 @@ def sample_functions(
     return pair[0], pair[1]
 
 
+def _trial_pairs(
+    group: FiniteAbelianGroup, seed: int, trials: int
+) -> Iterator[Tuple[str, int, GroupFunction, GroupFunction]]:
+    """(kind, sub_seed, f, g) for trial i: kinds cycle, substream seed ^ i."""
+    for i in range(trials):
+        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
+        sub_seed = seed ^ i
+        f, g = sample_functions(kind, group, sub_seed)
+        yield kind, sub_seed, f, g
+
+
 # -- ratio evaluation per inequality --------------------------------------------------
 
 
@@ -509,10 +520,8 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
         instance=instance, hypothesis_gaps=hypothesis_gaps(instance)
     )
     ratios = []
-    for i in range(instance.trials):
-        sub_seed = instance.seed ^ i
-        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
-        f, g = sample_functions(kind, grp, sub_seed)
+    pairs = _trial_pairs(grp, instance.seed, instance.trials)
+    for i, (kind, sub_seed, f, g) in enumerate(pairs):
         row = {
             "trial": i,
             "kind": kind,
@@ -801,9 +810,7 @@ def extremizer_search(
         return 0.0 if maybe is None else maybe
 
     best = (0.0, None, None)
-    for i in range(max(instance.trials, 1)):
-        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
-        f, g = sample_functions(kind, grp, instance.seed ^ i)
+    for _, _, f, g in _trial_pairs(grp, instance.seed, max(instance.trials, 1)):
         ratio = ratio_of(f.values, g.values)
         if ratio > best[0] or best[1] is None:
             best = (ratio, f.values.copy(), g.values.copy())
@@ -1046,9 +1053,7 @@ BASELINE_GRID: Tuple[dict, ...] = (
 def _majorization_baseline(entry: dict) -> float:
     grp = FiniteAbelianGroup(entry["group"])
     worst = 0.0
-    for i in range(entry["samples"]):
-        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
-        f, g = sample_functions(kind, grp, entry["seed"] ^ i)
+    for _, _, f, g in _trial_pairs(grp, entry["seed"], entry["samples"]):
         worst = max(worst, majorization_check(f, g))
     return worst
 
@@ -1059,9 +1064,7 @@ def _hausdorff_young_baseline(entry: dict) -> float:
     grp = FiniteAbelianGroup(entry["group"])
     p = entry["p"]
     worst = 0.0
-    for i in range(entry["samples"]):
-        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
-        f, _ = sample_functions(kind, grp, entry["seed"] ^ i)
+    for _, _, f, _ in _trial_pairs(grp, entry["seed"], entry["samples"]):
         for second in entry["second"]:
             _, rhs, ratio = hausdorff_young_check(f, p, second)
             if rhs:
@@ -1074,9 +1077,7 @@ def _tensor_baseline(entry: dict) -> float:
     dual = grp.dual
     idx = IndexTuple.from_json(entry["indices"])
     worst = 0.0
-    for i in range(entry["samples"]):
-        kind = SAMPLE_KINDS[i % len(SAMPLE_KINDS)]
-        f, g = sample_functions(kind, grp, entry["seed"] ^ i)
+    for _, _, f, g in _trial_pairs(grp, entry["seed"], entry["samples"]):
         fm = f.to_measured()
         gm = MeasuredFunction.from_values(
             g.values, weight=dual.haar_weight, domain="G^"

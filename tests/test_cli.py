@@ -259,6 +259,19 @@ def test_uncertainty_explicit_omega(capsys, workdir) -> None:
     assert json.loads(out)["holds"] is True
 
 
+def test_uncertainty_omega_measure_counts_each_cell_once(capsys, tmp_path) -> None:
+    write_json(str(tmp_path / "f.json"), {"values": [1.0, 0.5, 0.25, 2.0]})
+    write_json(str(tmp_path / "g.json"), {"values": [1.0, 0.5, 0.0, 0.25]})
+    files = ("--input", str(tmp_path / "f.json"), "--window", str(tmp_path / "g.json"))
+    # each cell of Z_4 x Z_4^ has measure 1/4, and (1, 5) reduces to (1, 1)
+    code, out = run(capsys, "uncertainty", "--group", "4", *files, "--q", "4",
+                    "--omega", "1,1;1,1;1,5")
+    assert code == 0
+    assert json.loads(out)["omega_measure"] == pytest.approx(0.25)
+    code, out = run(capsys, "uncertainty", "--group", "4", *files, "--q", "4")
+    assert json.loads(out)["omega_measure"] == pytest.approx(4.0)
+
+
 def test_verify_rejects_tolerance_flag(capsys) -> None:
     # verify always judges violations at the library's TOLERANCE
     code, _ = run(capsys, "verify", "--theorem", "t2", "--group", "6", "--q", "3",

@@ -13,11 +13,6 @@ from hypothesis import strategies as st
 from tflab import (
     FiniteAbelianGroup,
     GroupEndomorphism,
-    apply_endomorphism,
-    certify_automorphism,
-    character,
-    dual_automorphism,
-    modulus,
     parse_group,
 )
 
@@ -80,13 +75,13 @@ def test_element_arithmetic_reduces_mod_orders() -> None:
 def test_character_identity_is_one() -> None:
     g = FiniteAbelianGroup([5, 7])
     for xi in range(g.size):
-        assert character(g, g.identity, xi) == pytest.approx(1.0)
+        assert g.character(g.identity, xi) == pytest.approx(1.0)
 
 
 def test_character_primitive_fourth_root() -> None:
     g = FiniteAbelianGroup([4])
-    assert character(g, 1, 1) == pytest.approx(1j)
-    assert character(g, 2, 1) == pytest.approx(-1.0)
+    assert g.character(1, 1) == pytest.approx(1j)
+    assert g.character(2, 1) == pytest.approx(-1.0)
 
 
 def test_character_closed_form() -> None:
@@ -97,7 +92,7 @@ def test_character_closed_form() -> None:
             expected = cmath.exp(
                 2j * math.pi * (xc[0] * xic[0] / 3 + xc[1] * xic[1] / 5)
             )
-            assert character(g, x, xi) == pytest.approx(expected, abs=1e-12)
+            assert g.character(x, xi) == pytest.approx(expected, abs=1e-12)
 
 
 def test_bicharacter_law_exhaustive() -> None:
@@ -106,15 +101,15 @@ def test_bicharacter_law_exhaustive() -> None:
     for x in range(n):
         for y in range(n):
             for xi in range(n):
-                lhs = character(g, g.add_index[x, y], xi)
-                rhs = character(g, x, xi) * character(g, y, xi)
+                lhs = g.character(g.add_index[x, y], xi)
+                rhs = g.character(x, xi) * g.character(y, xi)
                 assert abs(lhs - rhs) < 1e-12
     # Multiplicativity in the dual slot.
     for x in range(n):
         for xi in range(n):
             for zeta in range(n):
-                lhs = character(g, x, g.add_index[xi, zeta])
-                rhs = character(g, x, xi) * character(g, x, zeta)
+                lhs = g.character(x, g.add_index[xi, zeta])
+                rhs = g.character(x, xi) * g.character(x, zeta)
                 assert abs(lhs - rhs) < 1e-12
 
 
@@ -129,8 +124,8 @@ def test_character_unit_modulus_order_64() -> None:
 def test_character_multiplicative_property(orders, a, b, c) -> None:
     g = FiniteAbelianGroup(orders)
     x, y, xi = a % g.size, b % g.size, c % g.size
-    lhs = character(g, g.add_index[x, y], xi)
-    rhs = character(g, x, xi) * character(g, y, xi)
+    lhs = g.character(g.add_index[x, y], xi)
+    rhs = g.character(x, xi) * g.character(y, xi)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -138,24 +133,24 @@ def test_endomorphism_identity_fixes_everything() -> None:
     g = FiniteAbelianGroup([4, 2])
     m = GroupEndomorphism.identity(g)
     for i in range(g.size):
-        assert apply_endomorphism(m, g.coords(i)) == g.coords(i)
+        assert m.apply(g.coords(i)) == g.coords(i)
 
 
 def test_endomorphism_cyclic_doubling() -> None:
     g = FiniteAbelianGroup([5])
     m = GroupEndomorphism(g, [[2]])
-    assert apply_endomorphism(m, (3,)) == (1,)
+    assert m.apply((3,)) == (1,)
 
 
 def test_endomorphism_mixed_orders_modular_arithmetic() -> None:
     # n_2 | M_21 * n_1 (2 divides 2*4) makes the off-diagonal entry legal.
     g = FiniteAbelianGroup([4, 2])
     m = GroupEndomorphism(g, [[1, 0], [2, 1]])
-    assert apply_endomorphism(m, (1, 1)) == (1, (1 + 2 * 1) % 2)
+    assert m.apply((1, 1)) == (1, (1 + 2 * 1) % 2)
     for i in range(g.size):
         x = g.coords(i)
         expected = ((x[0]) % 4, (2 * x[0] + x[1]) % 2)
-        assert apply_endomorphism(m, x) == expected
+        assert m.apply(x) == expected
 
 
 def test_endomorphism_rejects_ill_defined_matrix() -> None:
@@ -167,35 +162,34 @@ def test_endomorphism_rejects_ill_defined_matrix() -> None:
 
 def test_certify_automorphism_cyclic() -> None:
     g = FiniteAbelianGroup([5])
-    ok, inv = certify_automorphism(GroupEndomorphism(g, [[2]]))
-    assert ok and inv is not None
-    assert np.array_equal(inv.matrix, [[3]])
+    m = GroupEndomorphism(g, [[2]])
+    assert m.is_automorphism
+    assert np.array_equal(m.inverse.matrix, [[3]])
 
 
 def test_certify_rejects_non_injective() -> None:
     g = FiniteAbelianGroup([4])
-    ok, inv = certify_automorphism(GroupEndomorphism(g, [[2]]))
-    assert not ok and inv is None
+    m = GroupEndomorphism(g, [[2]])
+    assert not m.is_automorphism
+    with pytest.raises(ValueError):
+        m.inverse
 
 
 def test_certified_family_on_z9() -> None:
     g = FiniteAbelianGroup([9])
     m = GroupEndomorphism(g, [[2]])
-    ok, inv = certify_automorphism(m)
-    assert ok and np.array_equal(inv.matrix, [[5]])
+    assert m.is_automorphism and np.array_equal(m.inverse.matrix, [[5]])
     one_minus = GroupEndomorphism(g, [[-1]])
-    ok_1m, _ = certify_automorphism(one_minus)
-    assert ok_1m and apply_endomorphism(one_minus, (1,)) == (8,)
+    assert one_minus.is_automorphism and one_minus.apply((1,)) == (8,)
     one_minus_inv = GroupEndomorphism(g, [[1 - 5]])
-    ok_1mi, _ = certify_automorphism(one_minus_inv)
-    assert ok_1mi and apply_endomorphism(one_minus_inv, (1,)) == (5,)
+    assert one_minus_inv.is_automorphism and one_minus_inv.apply((1,)) == (5,)
 
 
 def test_automorphism_is_bijection_brute_force() -> None:
     g = FiniteAbelianGroup([4, 6])
     m = GroupEndomorphism(g, [[1, 0], [0, 5]])
     assert m.is_automorphism
-    images = {apply_endomorphism(m, g.coords(i)) for i in range(g.size)}
+    images = {m.apply(g.coords(i)) for i in range(g.size)}
     assert len(images) == g.size
 
 
@@ -205,20 +199,26 @@ def test_inverse_composes_to_identity() -> None:
     inv = m.inverse
     for i in range(g.size):
         x = g.coords(i)
-        assert apply_endomorphism(inv, apply_endomorphism(m, x)) == x
-        assert apply_endomorphism(m, apply_endomorphism(inv, x)) == x
+        assert inv.apply(m.apply(x)) == x
+        assert m.apply(inv.apply(x)) == x
 
 
 def test_modulus_is_one_for_automorphisms() -> None:
+    # mu(G) / mu(M G) = 1: an automorphism's image has every element
     for spec, mat in (("7", [[3]]), ("5x5", [[2, 0], [0, 3]]), ("9", [[2]])):
         g = parse_group(spec)
-        assert modulus(GroupEndomorphism(g, mat)) == pytest.approx(1.0)
+        m = GroupEndomorphism(g, mat)
+        assert m.is_automorphism
+        assert g.measure(g.size) / g.measure(np.unique(m.permutation).size) == 1.0
 
 
 def test_modulus_rejects_non_automorphism() -> None:
+    # a non-injective endomorphism has no inverse, so no modulus
     g = FiniteAbelianGroup([4])
+    m = GroupEndomorphism(g, [[2]])
+    assert np.unique(m.permutation).size < g.size
     with pytest.raises(ValueError):
-        modulus(GroupEndomorphism(g, [[2]]))
+        m.inverse
 
 
 def test_change_of_variables_preserves_sums() -> None:
@@ -226,27 +226,27 @@ def test_change_of_variables_preserves_sums() -> None:
     m = GroupEndomorphism(g, [[3]])
     rng = np.random.default_rng(0)
     f = rng.standard_normal(7)
-    direct = sum(f[g.index(apply_endomorphism(m, g.coords(i)))] for i in range(7))
+    direct = sum(f[g.index(m.apply(g.coords(i)))] for i in range(7))
     assert direct == pytest.approx(float(np.sum(f)))
 
 
 def test_dual_automorphism_identity_and_cyclic() -> None:
     g = FiniteAbelianGroup([5])
     ident = GroupEndomorphism.identity(g)
-    assert np.array_equal(dual_automorphism(ident).matrix, ident.matrix)
+    assert np.array_equal(ident.dual().matrix, ident.matrix)
     m = GroupEndomorphism(g, [[2]])
-    assert np.array_equal(dual_automorphism(m).matrix, [[2]])
+    assert np.array_equal(m.dual().matrix, [[2]])
 
 
 def test_dual_automorphism_defining_pairing() -> None:
     g = FiniteAbelianGroup([4, 2])
     m = GroupEndomorphism(g, [[1, 0], [2, 1]])
     assert m.is_automorphism
-    mstar = dual_automorphism(m)
+    mstar = m.dual()
     for x in range(g.size):
         for xi in range(g.size):
-            lhs = character(g, apply_endomorphism(m, g.coords(x)), g.coords(xi))
-            rhs = character(g, g.coords(x), apply_endomorphism(mstar, g.coords(xi)))
+            lhs = g.character(m.apply(g.coords(x)), g.coords(xi))
+            rhs = g.character(g.coords(x), mstar.apply(g.coords(xi)))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -254,8 +254,8 @@ def test_dual_automorphism_contravariant() -> None:
     g = FiniteAbelianGroup([5, 5])
     m = GroupEndomorphism(g, [[2, 0], [0, 3]])
     n = GroupEndomorphism(g, [[1, 1], [0, 1]])
-    lhs = dual_automorphism(m.compose(n))
-    rhs = dual_automorphism(n).compose(dual_automorphism(m))
+    lhs = m.compose(n).dual()
+    rhs = n.dual().compose(m.dual())
     assert np.array_equal(lhs.matrix, rhs.matrix)
 
 
@@ -264,7 +264,7 @@ def test_permutation_matches_apply() -> None:
     m = GroupEndomorphism(g, [[2]])
     perm = m.permutation
     for i in range(g.size):
-        assert perm[i] == g.index(apply_endomorphism(m, g.coords(i)))
+        assert perm[i] == g.index(m.apply(g.coords(i)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,15 +21,15 @@ from tflab import (
     stft,
     stft_dilate,
     stft_lebesgue_bound_check,
-    stft_via_inner_products,
     tf_pairing,
     tf_shift,
     weyl_apply,
     weyl_operator,
-    weyl_operator_pointmass,
     wigner_factorization_check,
     wigner_tau,
 )
+
+from oracles import stft_via_inner_products, weyl_operator_pointmass
 
 
 def random_function(group: FiniteAbelianGroup, seed: int) -> GroupFunction:
@@ -117,10 +117,11 @@ def test_stft_triple_sum_oracle() -> None:
 
 
 def test_stft_matches_inner_product_oracle() -> None:
-    g = FiniteAbelianGroup([4, 3])
-    f, win = random_function(g, 9), random_function(g, 10)
-    a, b = stft(f, win), stft_via_inner_products(f, win)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
+    for orders, weight in (([4, 3], 1.0), ([2, 3, 2], 2.5)):
+        g = FiniteAbelianGroup(orders, haar_weight=weight)
+        f, win = random_function(g, 9), random_function(g, 10)
+        a, b = stft(f, win), stft_via_inner_products(f, win)
+        assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
 def test_stft_isometry() -> None:
@@ -181,19 +182,22 @@ def test_stft_norms_invariant_under_tf_shift_of_both() -> None:
 
 
 def test_wigner_triple_loop_oracle() -> None:
-    g = FiniteAbelianGroup([5])
-    tau = GroupEndomorphism(g, [[2]])
-    f, h = random_function(g, 23), random_function(g, 24)
-    w = wigner_tau(f, h, tau)
-    for x in range(5):
-        for xi in range(5):
-            expected = g.haar_weight * sum(
-                f.values[(x + 2 * y) % 5]
-                * np.conj(h.values[(x - (1 - 2) * y) % 5])
-                * np.conj(g.character_table[y, xi])
-                for y in range(5)
-            )
-            assert w.values[x, xi] == pytest.approx(expected, abs=1e-10)
+    for orders, weight, mat in (([5], 1.0, [[2]]), ([4, 6], 0.5, [[1, 2], [0, 1]])):
+        g = FiniteAbelianGroup(orders, haar_weight=weight)
+        tau = GroupEndomorphism(g, mat)
+        f, h = random_function(g, 23), random_function(g, 24)
+        w = wigner_tau(f, h, tau)
+        ys = g.elements
+        tau_ys = ys @ tau.matrix.T  # coordinates of tau y, reduced by g.index
+        for x, xc in enumerate(ys):
+            for xi in range(g.size):
+                expected = g.haar_weight * sum(
+                    f.values[g.index(xc + ty)]
+                    * np.conj(h.values[g.index(xc - (y - ty))])
+                    * np.conj(g.character_table[iy, xi])
+                    for iy, (y, ty) in enumerate(zip(ys, tau_ys))
+                )
+                assert w.values[x, xi] == pytest.approx(expected, abs=1e-10)
 
 
 def test_wigner_at_zero_is_rihaczek() -> None:
@@ -296,16 +300,30 @@ def test_weyl_operator_zero_symbol() -> None:
 
 
 def test_weyl_operator_matches_pointmass_assembly() -> None:
-    g = FiniteAbelianGroup([4, 2])
-    tau = GroupEndomorphism(g, [[1, 0], [0, 1]])
-    rng = np.random.default_rng(38)
-    phi = stft(
-        GroupFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)),
-        GroupFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)),
+    cases = (
+        ([4, 2], 1.0, [[1, 0], [0, 1]]),
+        ([2, 3, 2], 0.5, [[1, 0, 1], [0, 2, 0], [1, 0, 0]]),
     )
-    a = weyl_operator(phi, tau)
-    b = weyl_operator_pointmass(phi, tau)
-    assert np.max(np.abs(a - b)) < 1e-10
+    for orders, weight, mat in cases:
+        g = FiniteAbelianGroup(orders, haar_weight=weight)
+        tau = GroupEndomorphism(g, mat)
+        rng = np.random.default_rng(38)
+        phi = stft(
+            GroupFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)),
+            GroupFunction(g, rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)),
+        )
+        a = weyl_operator(phi, tau)
+        b = weyl_operator_pointmass(phi, tau)
+        assert np.max(np.abs(a - b)) < 1e-10
+
+
+def test_transforms_leave_character_table_unbuilt() -> None:
+    g = FiniteAbelianGroup([4, 6])
+    tau = GroupEndomorphism(g, [[1, 2], [0, 1]])
+    f, h = random_function(g, 42), random_function(g, 43)
+    weyl_operator(stft(f, h), tau)
+    wigner_tau(f, h, tau)
+    assert "character_table" not in g.__dict__
 
 
 def test_weyl_duality_random_triples() -> None:
