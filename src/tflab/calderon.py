@@ -1,17 +1,19 @@
 """Half-line machinery: multiplicative convolution, Hardy and Young
-inequalities, and bilinear Calderon operators with exact piecewise
-integration.
+inequalities, and bilinear Calderon operators in closed form.
 
 Everything operates on the measure dt/t, so log coordinates turn step
 functions into piecewise-constant integrands over (possibly half-infinite)
-intervals and the Calderon kernels into piecewise exponentials.  Exact
-closed forms are used wherever the kernel's minimum structure decomposes
-into diagonal bands (which covers both canonical kernel sets); a truncated
-log-grid quadrature covers everything else.
+intervals and the Calderon kernels into piecewise exponentials.  When the
+kernel's minimum structure decomposes into diagonal bands (which covers
+both canonical kernel sets), S_eta(f*, g*)(t) is a sum over pairs of
+corners (breakpoints of f* and g*) of the kernel's integral over one corner
+of the log plane, evaluated for a whole grid of t as one array expression.
+A truncated log-grid quadrature covers every other kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from fractions import Fraction
@@ -57,6 +59,10 @@ __all__ = [
 
 _NEG_INF = -math.inf
 
+#: Largest number of t values the corner-form evaluator takes at once; its
+#: temporaries hold (block, branches, f* corners, g* corners) floats.
+_T_BLOCK = 32
+
 
 class EtaSet:
     """A finite set of exponent triples (1/u_k, 1/v_k, 1/w_k) in [0,1]^3.
@@ -84,6 +90,8 @@ class EtaSet:
         if len(set(parsed)) != len(parsed):
             raise ValueError("eta triples must be distinct")
         self.triples: Tuple[Tuple[Fraction, Fraction, Fraction], ...] = tuple(parsed)
+        #: the triples as a (K, 3) float array, for the evaluators
+        self._abc = np.array(parsed, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"EtaSet({[tuple(map(str, t)) for t in self.triples]})"
@@ -94,7 +102,7 @@ class EtaSet:
     def __hash__(self) -> int:
         return hash(frozenset(self.triples))
 
-    @property
+    @functools.cached_property
     def is_band_decomposable(self) -> bool:
         sums = {a + b for a, b, _ in self.triples}
         return len(sums) == 1
@@ -107,23 +115,6 @@ class EtaSet:
         return math.exp(
             min(float(a) * lr + float(b) * ls - float(c) * lt for a, b, c in self.triples)
         )
-
-    def bands(self, log_t: float) -> List[Tuple[float, float, int]]:
-        """Partition of e = log(s/r) into (lo, hi, branch index) intervals.
-
-        On each band the kernel equals r^{a_k} s^{b_k} t^{-c_k} for the
-        returned branch k.  Requires band decomposability.
-        """
-        if not self.is_band_decomposable:
-            raise ValueError("eta set is not band decomposable")
-        # branch value = b_k * e + (a_k + b_k) * rho - c_k * log_t, so the
-        # minimizer over k is the lower envelope of lines slope b_k,
-        # intercept -c_k * log_t.
-        lines = [
-            (float(b), -float(c) * log_t, k)
-            for k, (a, b, c) in enumerate(self.triples)
-        ]
-        return _lower_envelope(lines)
 
 
 def _lower_envelope(
@@ -335,31 +326,6 @@ def _exp_integral(gamma: float, lo: float, hi: float) -> float:
     return (math.exp(gamma * hi) - math.exp(gamma * lo)) / gamma
 
 
-def _exp_affine_integral(
-    gamma: float, c0: float, c1: float, lo: float, hi: float
-) -> float:
-    """integral of (c0 + c1 x) e^{gamma x} dx over (lo, hi); lo may be -inf."""
-    if math.isinf(hi):
-        raise ValueError("upper endpoint must be finite")
-    if c0 == 0 and c1 == 0:
-        return 0.0
-    if gamma == 0:
-        if lo == _NEG_INF:
-            return math.inf
-        return c0 * (hi - lo) + c1 * (hi**2 - lo**2) / 2
-
-    def anti(x: float) -> float:
-        return math.exp(gamma * x) * ((c0 + c1 * x) / gamma - c1 / gamma**2)
-
-    if lo == _NEG_INF:
-        if gamma <= 0:
-            return math.inf
-        return anti(hi)
-    if hi <= lo:
-        return 0.0
-    return anti(hi) - anti(lo)
-
-
 def _exp_poly_integral(
     gamma: float, a: float, b: float, n: int, lo: float, hi: float
 ) -> float:
@@ -499,11 +465,21 @@ def _quad_power_affine(
     return total ** (1.0 / qf)
 
 
+@functools.cache
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """The 32-node rule on [-1, 1], computed once on first use: its
+    eigen-solve loads LAPACK, which costs 1.75 MiB of resident memory."""
+    rule = np.polynomial.legendre.leggauss(32)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
 def _adaptive_gauss(
     fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rtol: float = 1e-9
 ) -> float:
     """Gauss-Legendre with interval bisection until the refinement is stable."""
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = _gauss_legendre()
 
     def estimate(a: float, b: float) -> float:
         mid, half = (a + b) / 2, (b - a) / 2
@@ -628,69 +604,6 @@ def hardy_check(
 # -- Calderon operators ---------------------------------------------------------
 
 
-def _band_rect_integral(
-    alpha: float,
-    beta: float,
-    scale_log: float,
-    p0: float,
-    p1: float,
-    s0: float,
-    s1: float,
-    band_lo: float,
-    band_hi: float,
-) -> float:
-    """integral of e^{alpha*rho + beta*sigma + scale_log} over the part of
-    the log-rectangle (p0,p1) x (s0,s1) with sigma - rho in (band_lo, band_hi).
-
-    p0 and s0 may be -inf; divergent configurations return +inf.
-    """
-    splits = []
-    for bound in (band_lo, band_hi):
-        if math.isfinite(bound):
-            for s_edge in (s0, s1):
-                if math.isfinite(s_edge):
-                    x = s_edge - bound
-                    if p0 < x < p1:
-                        splits.append(x)
-    edges = [p0] + sorted(set(splits)) + [p1]
-    total = 0.0
-    for x0, x1 in zip(edges, edges[1:]):
-        if not x1 > x0:
-            continue
-        probe = x1 - 1.0 if x0 == _NEG_INF else (x0 + x1) / 2
-        lo_probe = max(s0, probe + band_lo)
-        up_probe = min(s1, probe + band_hi)
-        if not up_probe > lo_probe:
-            continue
-        up_affine = math.isfinite(band_hi) and probe + band_hi < s1
-        lo_affine = math.isfinite(band_lo) and probe + band_lo > s0
-        if beta == 0:
-            if not lo_affine and s0 == _NEG_INF:
-                return math.inf
-            c0 = (band_hi if up_affine else s1) - (band_lo if lo_affine else s0)
-            c1 = float(up_affine) - float(lo_affine)
-            piece = _exp_affine_integral(alpha, c0, c1, x0, x1)
-        else:
-            piece = 0.0
-            if up_affine:
-                piece += math.exp(beta * band_hi) * _exp_integral(alpha + beta, x0, x1)
-            else:
-                piece += math.exp(beta * s1) * _exp_integral(alpha, x0, x1)
-            if lo_affine:
-                piece -= math.exp(beta * band_lo) * _exp_integral(alpha + beta, x0, x1)
-            elif s0 == _NEG_INF:
-                if beta < 0:
-                    return math.inf
-                # e^{beta * -inf} = 0 for beta > 0: no lower-boundary term
-            else:
-                piece -= math.exp(beta * s0) * _exp_integral(alpha, x0, x1)
-            piece /= beta
-        if math.isinf(piece):
-            return math.inf
-        total += piece
-    return math.exp(scale_log) * total if math.isfinite(total) else math.inf
-
-
 def _log_pieces(sf: StepFunction) -> List[Tuple[float, float, float]]:
     """(log lo, log hi, value) with positive value; log 0 = -inf."""
     out = []
@@ -699,22 +612,90 @@ def _log_pieces(sf: StepFunction) -> List[Tuple[float, float, float]]:
     return out
 
 
-def _calderon_exact(eta: EtaSet, fstar: StepFunction, gstar: StepFunction, t: float) -> float:
-    log_t = math.log(t)
-    bands = eta.bands(log_t)
-    total = 0.0
-    for p0, p1, fv in _log_pieces(fstar):
-        for s0, s1, gv in _log_pieces(gstar):
-            for band_lo, band_hi, k in bands:
-                a, b, c = eta.triples[k]
-                part = _band_rect_integral(
-                    float(a), float(b), -float(c) * log_t,
-                    p0, p1, s0, s1, band_lo, band_hi,
-                )
-                if math.isinf(part):
-                    return math.inf
-                total += fv * gv * part
-    return total
+def _exp_antiderivative(
+    base: np.ndarray, gamma: np.ndarray, x: np.ndarray
+) -> np.ndarray:
+    """exp(base + gamma x) / gamma, or exp(base) * x where gamma = 0; at
+    x = +-inf it is 0, the limit of a convergent end of an integral and
+    the finite part of a divergent one."""
+    finite = np.isfinite(x)
+    x = np.where(finite, x, 0.0)
+    flat = gamma == 0
+    out = np.exp(base + gamma * x)
+    out *= np.where(flat, x, 1 / np.where(flat, 1.0, gamma))
+    out *= finite
+    return out
+
+
+def _calderon_corners(
+    eta: EtaSet, fstar: StepFunction, gstar: StepFunction, ts: np.ndarray
+) -> np.ndarray:
+    """S_eta(f*, g*) at every t in ts, for a band-decomposable eta.
+
+    With f* = sum_i df_i 1_(0, b_i] and g* = sum_j dg_j 1_(0, c_j],
+    S(t) = sum_ij df_i dg_j H(log b_i, log c_j), where H(P, Q) integrates
+    the kernel over {rho < P, sigma < Q} in log coordinates.  In
+    e = sigma - rho the kernel is e^{m rho} e^{b_k e - c_k log t} on branch
+    k's interval (m = a_k + b_k), so H sums per branch two exponential
+    integrals split at e = Q - P, where the bound on rho turns from P to
+    Q - e.  A divergent end contributes a function of P alone or of Q
+    alone, which cancels in the sum unless its weight f*(0+) or g*(0+) is
+    positive; then S = inf.
+    """
+    a, b, c = eta._abc.T
+    m = a[0] + b[0]
+    (p, df), (q, dg) = ((np.log(sf.breaks), -np.diff(sf.values, append=0.0))
+                        for sf in (fstar, gstar))
+    weight = np.multiply.outer(df, dg)
+    f_at_0, g_at_0 = (len(sf) > 0 and sf.values[0] > 0 for sf in (fstar, gstar))
+    f_live, g_live = (bool(np.any(sf.values > 0)) for sf in (fstar, gstar))
+    db = b[:, None] - b[None, :]
+    k = np.arange(b.size)
+    # axes: (t, branch, f* corner, g* corner)
+    a4, b4 = a[None, :, None, None], b[None, :, None, None]
+    split = (q[None, :] - p[:, None])[None, None]
+    out = np.empty(ts.size)
+    for start in range(0, ts.size, _T_BLOCK):
+        log_t = np.log(ts[start:start + _T_BLOCK])
+        # branch k is below branch j for e under (c_k - c_j) log t / (b_k - b_j)
+        # when b_k > b_j and over it when b_k < b_j; of two parallel branches
+        # the larger c log t wins everywhere, the lower index on a tie (t = 1)
+        ct = np.multiply.outer(log_t, c)
+        dct = ct[:, :, None] - ct[:, None, :]
+        cross = dct / np.where(db == 0, 1.0, db)
+        lo = np.where(db < 0, cross, _NEG_INF).max(axis=2)
+        hi = np.where(db > 0, cross, math.inf).min(axis=2)
+        beaten = (db == 0) & ((dct < 0) | ((dct == 0) & (k < k[:, None])))
+        hi[beaten.any(axis=2)] = _NEG_INF
+        if m == 0:
+            # every a_k = b_k = 0: the kernel is a constant in r and s
+            h = np.exp(-ct.max(axis=1))[:, None, None] * np.multiply.outer(p, q)
+        else:
+            lo4, hi4 = lo[:, :, None, None], hi[:, :, None, None]
+            # the (t, branch, corner, corner) arrays are updated in place,
+            # since they set the peak memory
+            # e < Q - P: rho runs up to P
+            base = m * p[:, None] - ct[:, :, None, None]
+            edge = np.minimum(hi4, split)
+            h = _exp_antiderivative(base, b4, edge)
+            h -= _exp_antiderivative(base, b4, lo4)
+            h[edge <= lo4] = 0.0
+            # e > Q - P: rho runs up to Q - e
+            base = m * q[None, :] - ct[:, :, None, None]
+            edge = np.maximum(lo4, split, out=edge)
+            above = _exp_antiderivative(base, -a4, edge)
+            np.subtract(_exp_antiderivative(base, -a4, hi4), above, out=above)
+            above[hi4 <= edge] = 0.0
+            h += above
+            h = h.sum(axis=1) / m
+        s = (h * weight).sum(axis=(1, 2))
+        # the branch winning as e -> +inf (r -> 0) has a_k = 0, or as e -> -inf b_k = 0
+        live = lo < hi
+        r_diverges = (live & (hi == math.inf) & (a == 0)).any(axis=1)
+        s_diverges = (live & (lo == _NEG_INF) & (b == 0)).any(axis=1)
+        diverges = (f_at_0 and g_live) & r_diverges | (g_at_0 and f_live) & s_diverges
+        out[start:start + log_t.size] = np.where(diverges, math.inf, s)
+    return out
 
 
 def _calderon_quadrature(
@@ -811,25 +792,31 @@ def calderon_apply(
     eta: EtaSet,
     fstar: StepFunction,
     gstar: StepFunction,
-    t: float,
+    t: Union[float, np.ndarray],
     method: str = "auto",
-) -> float:
-    """S_eta(f*, g*)(t): the bilinear Calderon operator at one point t > 0.
+) -> Union[float, np.ndarray]:
+    """S_eta(f*, g*)(t): the bilinear Calderon operator at t > 0.
 
-    Band-decomposable kernels (both canonical sets) integrate exactly;
-    others fall back to truncated log-grid quadrature.
+    t is a scalar (the result is a float) or a 1-d array (the result is an
+    array of the same length).  Band-decomposable kernels (both canonical
+    sets) are evaluated in closed form; others fall back to truncated
+    log-grid quadrature, one t at a time.
     """
-    if t <= 0:
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
+    if not np.all(ts > 0):
         raise ValueError(f"t must be positive, got {t}")
     if method not in {"auto", "exact", "quadrature"}:
         raise ValueError(f"unknown method {method!r}")
     if method == "exact" and not eta.is_band_decomposable:
         raise ValueError("exact method requires a band-decomposable eta set")
-    if method == "quadrature":
-        return _calderon_quadrature(eta, fstar, gstar, t)
-    if eta.is_band_decomposable:
-        return _calderon_exact(eta, fstar, gstar, t)
-    return _calderon_quadrature(eta, fstar, gstar, t)
+    flat = ts.reshape(-1)
+    if method == "quadrature" or not eta.is_band_decomposable:
+        out = np.array([_calderon_quadrature(eta, fstar, gstar, float(x)) for x in flat])
+    else:
+        out = _calderon_corners(eta, fstar, gstar, flat)
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 def sqrt_moment(sf: StepFunction) -> float:
@@ -994,7 +981,7 @@ def calderon_t_functional(
 
     def s_of(t: float) -> float:
         if t not in s_cache:
-            s_cache[t] = _calderon_exact(eta, fstar, gstar, t)
+            s_cache[t] = float(_calderon_corners(eta, fstar, gstar, np.array([t]))[0])
         return s_cache[t]
 
     def m_of(t: float) -> float:
@@ -1065,8 +1052,8 @@ def calderon_t_functional(
     kinks = sorted(
         {abs(p - s) for p in edges_f for s in edges_g if 0 < abs(p - s) < lam_big}
     )
-    fn = lambda lams: np.array(
-        [math.exp(ef * wf * lam) * s_of(math.exp(lam)) ** wf for lam in lams]
+    fn = lambda lams: (
+        np.exp(ef * wf * lams) * _calderon_corners(eta, fstar, gstar, np.exp(lams)) ** wf
     )
     interior = 0.0
     for x0, x1 in zip([0.0] + kinks, kinks + [lam_big]):

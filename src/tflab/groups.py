@@ -144,13 +144,21 @@ class FiniteAbelianGroup:
         The phase is accumulated as an exact integer multiple of 1/lcm(orders)
         before exponentiating, so the table is accurate to machine rounding.
         """
-        lcm = math.lcm(*self.orders)
-        scale = np.array([lcm // n for n in self.orders], dtype=np.int64)
-        x = self.elements
-        num = (x * scale) @ x.T % lcm
-        chi = np.exp(2j * np.pi * (num / lcm))
+        chi = self.characters(self.elements.T)
         chi.setflags(write=False)
         return chi
+
+    def characters(self, xi: np.ndarray) -> np.ndarray:
+        """<x_i, xi> for every element x_i, with xi given by its coordinates.
+
+        A (k,) vector gives one column of ``character_table`` and a (k, n)
+        array gives n columns, with the same integer phases, so a column is
+        available without building the table.
+        """
+        lcm = math.lcm(*self.orders)
+        scale = np.array([lcm // n for n in self.orders], dtype=np.int64)
+        num = (self.elements * scale) @ xi % lcm
+        return np.exp(2j * np.pi * (num / lcm))
 
     def character(self, x: ElementLike, xi: ElementLike) -> complex:
         """The value of the character xi at x."""

@@ -2,9 +2,9 @@
 
 Every character sum sum_x h(x) conj<x, xi> runs through one engine,
 ``_dft_rows``: it reshapes each row to the group's cyclic orders and takes
-``np.fft.fftn`` over those axes, so a transform of |G| rows costs
-O(|G|^2 log |G|) and needs no dense character table (the table is read only
-for pointwise phases: ``tf_shift`` and the Rihaczek closed forms).  Haar
+one FFT per axis, so a transform of |G| rows costs O(|G|^2 log |G|) and
+needs no dense character table (the table is read only for pointwise
+phases in the Rihaczek closed forms and ``wigner_factorization_check``).  Haar
 weights are written out at each caller so that measure-scaling tests
 exercise real code paths.  ``fourier`` keeps the literal character sum as
 the reference route; the independent oracles (inner products, point-mass
@@ -168,10 +168,15 @@ class TFArray:
 
 
 def _dft_rows(grp: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """rows @ conj(character_table) over the trailing axis, by one fftn."""
+    """rows @ conj(character_table) over the trailing axis.
+
+    One ``np.fft.fft`` per cyclic factor, last axis first: the loop
+    ``np.fft.fftn`` runs, without its per-call argument handling.
+    """
     lead = rows.shape[:-1]
-    axes = tuple(range(len(lead), len(lead) + grp.rank))
-    out = np.fft.fftn(rows.reshape(lead + grp.orders), axes=axes)
+    out = rows.reshape(lead + grp.orders)
+    for axis in range(len(lead) + grp.rank - 1, len(lead) - 1, -1):
+        out = np.fft.fft(out, axis=axis)
     return out.reshape(lead + (grp.size,))
 
 
@@ -195,10 +200,9 @@ def fourier_fft(f: GroupFunction) -> GroupFunction:
 def tf_shift(f: GroupFunction, x: ElementLike, xi: ElementLike) -> GroupFunction:
     """pi(x, xi) f = M_xi T_x f, i.e. y -> <y, xi> f(y - x)."""
     g = f.group
-    ix = g.index(x)
-    ixi = g.index(xi)
-    translated = f.values[g.sub_index[:, ix]]
-    return GroupFunction(g, g.character_table[:, ixi] * translated)
+    shift = g.elements[g.index(x)]
+    translated = np.roll(f.values.reshape(g.orders), shift, axis=tuple(range(g.rank)))
+    return GroupFunction(g, g.characters(g.elements[g.index(xi)]) * translated.reshape(-1))
 
 
 # -- STFT --------------------------------------------------------------------

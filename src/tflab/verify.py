@@ -668,14 +668,11 @@ def majorization_check(
             [mids, breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, fill)]
         )
     )
-    worst = 0.0
-    for t in grid:
-        top = hstar(float(t))
-        if top == 0:
-            continue
-        s_val = calderon_apply(eta, fstar, gstar, float(t))
-        worst = max(worst, top / s_val if s_val > 0 else math.inf)
-    return worst
+    tops = np.append(hstar.values, 0.0)[np.searchsorted(breaks, grid, side="right")]
+    grid, tops = grid[tops != 0], tops[tops != 0]
+    s_vals = calderon_apply(eta, fstar, gstar, grid)
+    ratios = np.divide(tops, s_vals, out=np.full(tops.shape, math.inf), where=s_vals > 0)
+    return float(np.max(ratios, initial=0.0))
 
 
 # -- uncertainty chain --------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Brute-force oracles that the library's transforms are checked against.
 
-Each evaluates its quantity entry by entry from its defining pairing,
-not from the closed form the library assembles it with.
+Each evaluates its quantity entry by entry from its defining pairing, or
+region by region from its defining integral, not from the closed form the
+library assembles it with.
 """
 
 from __future__ import annotations
 
+import math
+from typing import List, Tuple
+
 import numpy as np
 
 from tflab import (
+    EtaSet,
     GroupEndomorphism,
     GroupFunction,
+    StepFunction,
     TFArray,
     tf_pairing,
     tf_shift,
     wigner_tau,
 )
+from tflab.calderon import _NEG_INF, _exp_integral, _log_pieces, _lower_envelope
 
 
 def stft_via_inner_products(f: GroupFunction, g: GroupFunction) -> TFArray:
@@ -41,3 +48,131 @@ def weyl_operator_pointmass(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
             wig = wigner_tau(fb, GroupFunction.delta(grp, a), tau)
             k[a, b] = tf_pairing(phi, wig) / w
     return k
+
+
+# -- the Calderon operator, one (f*-piece, g*-piece, band) rectangle at a time --
+
+
+def eta_bands(eta: EtaSet, log_t: float) -> List[Tuple[float, float, int]]:
+    """Partition of e = log(s/r) into (lo, hi, branch index) intervals.
+
+    On each band the kernel equals r^{a_k} s^{b_k} t^{-c_k} for the
+    returned branch k.  Requires band decomposability.
+    """
+    if not eta.is_band_decomposable:
+        raise ValueError("eta set is not band decomposable")
+    # branch value = b_k * e + (a_k + b_k) * rho - c_k * log_t, so the
+    # minimizer over k is the lower envelope of lines slope b_k,
+    # intercept -c_k * log_t.
+    lines = [
+        (float(b), -float(c) * log_t, k)
+        for k, (a, b, c) in enumerate(eta.triples)
+    ]
+    return _lower_envelope(lines)
+
+
+def exp_affine_integral(
+    gamma: float, c0: float, c1: float, lo: float, hi: float
+) -> float:
+    """integral of (c0 + c1 x) e^{gamma x} dx over (lo, hi); lo may be -inf."""
+    if math.isinf(hi):
+        raise ValueError("upper endpoint must be finite")
+    if c0 == 0 and c1 == 0:
+        return 0.0
+    if gamma == 0:
+        if lo == _NEG_INF:
+            return math.inf
+        return c0 * (hi - lo) + c1 * (hi**2 - lo**2) / 2
+
+    def anti(x: float) -> float:
+        return math.exp(gamma * x) * ((c0 + c1 * x) / gamma - c1 / gamma**2)
+
+    if lo == _NEG_INF:
+        if gamma <= 0:
+            return math.inf
+        return anti(hi)
+    if hi <= lo:
+        return 0.0
+    return anti(hi) - anti(lo)
+
+
+def band_rect_integral(
+    alpha: float,
+    beta: float,
+    scale_log: float,
+    p0: float,
+    p1: float,
+    s0: float,
+    s1: float,
+    band_lo: float,
+    band_hi: float,
+) -> float:
+    """integral of e^{alpha*rho + beta*sigma + scale_log} over the part of
+    the log-rectangle (p0,p1) x (s0,s1) with sigma - rho in (band_lo, band_hi).
+
+    p0 and s0 may be -inf; divergent configurations return +inf.
+    """
+    splits = []
+    for bound in (band_lo, band_hi):
+        if math.isfinite(bound):
+            for s_edge in (s0, s1):
+                if math.isfinite(s_edge):
+                    x = s_edge - bound
+                    if p0 < x < p1:
+                        splits.append(x)
+    edges = [p0] + sorted(set(splits)) + [p1]
+    total = 0.0
+    for x0, x1 in zip(edges, edges[1:]):
+        if not x1 > x0:
+            continue
+        probe = x1 - 1.0 if x0 == _NEG_INF else (x0 + x1) / 2
+        lo_probe = max(s0, probe + band_lo)
+        up_probe = min(s1, probe + band_hi)
+        if not up_probe > lo_probe:
+            continue
+        up_affine = math.isfinite(band_hi) and probe + band_hi < s1
+        lo_affine = math.isfinite(band_lo) and probe + band_lo > s0
+        if beta == 0:
+            if not lo_affine and s0 == _NEG_INF:
+                return math.inf
+            c0 = (band_hi if up_affine else s1) - (band_lo if lo_affine else s0)
+            c1 = float(up_affine) - float(lo_affine)
+            piece = exp_affine_integral(alpha, c0, c1, x0, x1)
+        else:
+            piece = 0.0
+            if up_affine:
+                piece += math.exp(beta * band_hi) * _exp_integral(alpha + beta, x0, x1)
+            else:
+                piece += math.exp(beta * s1) * _exp_integral(alpha, x0, x1)
+            if lo_affine:
+                piece -= math.exp(beta * band_lo) * _exp_integral(alpha + beta, x0, x1)
+            elif s0 == _NEG_INF:
+                if beta < 0:
+                    return math.inf
+                # e^{beta * -inf} = 0 for beta > 0: no lower-boundary term
+            else:
+                piece -= math.exp(beta * s0) * _exp_integral(alpha, x0, x1)
+            piece /= beta
+        if math.isinf(piece):
+            return math.inf
+        total += piece
+    return math.exp(scale_log) * total if math.isfinite(total) else math.inf
+
+
+def calderon_exact_oracle(eta: EtaSet, fstar: StepFunction, gstar: StepFunction, t: float) -> float:
+    """S_eta(f*, g*)(t) summed over every (f*-piece, g*-piece, band) rectangle."""
+    log_t = math.log(t)
+    bands = eta_bands(eta, log_t)
+    total = 0.0
+    for p0, p1, fv in _log_pieces(fstar):
+        for s0, s1, gv in _log_pieces(gstar):
+            for band_lo, band_hi, k in bands:
+                a, b, c = eta.triples[k]
+                part = band_rect_integral(
+                    float(a), float(b), -float(c) * log_t,
+                    p0, p1, s0, s1, band_lo, band_hi,
+                )
+                if math.isinf(part):
+                    return math.inf
+                total += fv * gv * part
+    return total

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tflab import (
     ETA_SEPARABLE,
@@ -27,6 +29,8 @@ from tflab import (
     rearrangement,
     young_check,
 )
+
+from oracles import calderon_exact_oracle
 
 
 def random_step(rng: np.random.Generator, pieces: int = 4) -> StepFunction:
@@ -196,7 +200,96 @@ def test_calderon_rejects_bad_method_and_t() -> None:
     with pytest.raises(ValueError):
         calderon_apply(ETA_SQRT_MIN, one, one, 0.0)
     with pytest.raises(ValueError):
+        calderon_apply(ETA_SQRT_MIN, one, one, np.array([1.0, -2.0]))
+    with pytest.raises(ValueError):
+        calderon_apply(ETA_SQRT_MIN, one, one, np.ones((2, 2)))
+    with pytest.raises(ValueError):
         calderon_apply(ETA_SQRT_MIN, one, one, 1.0, method="magic")
+
+
+# -- Calderon operator: the corner form against the rectangle oracle -------------------
+
+#: Band-decomposable kernels: the canonical pair, two custom sets, and three
+#: that do not decay as r or s -> 0 (a_k = 0 or b_k = 0 on an outer branch).
+BAND_KERNELS = [
+    ETA_SQRT_MIN,
+    ETA_SEPARABLE,
+    EtaSet([("1/3", "2/3", "1/4"), ("2/3", "1/3", "1/2"), (1, 0, "1/3")]),
+    EtaSet([(1, 0, "1/2"), ("1/2", "1/2", 0), (0, 1, 1)]),
+    EtaSet([(0, 0, 0)]),
+    EtaSet([(1, 0, 0)]),
+    EtaSet([(0, 1, "1/2"), (0, 1, 0)]),
+]
+
+
+@st.composite
+def step_functions(draw) -> StepFunction:
+    """Non-monotone step functions with zero-valued pieces.
+
+    Consecutive breakpoints are at least 5% apart: the corner sum takes
+    differences of corner integrals, so a piece of relative width d costs
+    about 4e-15/d of relative accuracy (pinned separately below).
+    """
+    n = draw(st.integers(1, 6))
+    log_gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=n, max_size=n))
+    start = draw(st.floats(-3.0, 1.0))
+    values = draw(st.lists(st.just(0.0) | st.floats(0.1, 5.0), min_size=n, max_size=n))
+    return StepFunction(np.exp(start + np.cumsum(log_gaps)), values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(BAND_KERNELS),
+    step_functions(),
+    step_functions(),
+    st.lists(st.just(0.0) | st.floats(-8.0, 8.0), min_size=1, max_size=4),
+)
+def test_corner_form_matches_rectangle_oracle(eta, f, g, log_ts) -> None:
+    ts = np.exp(log_ts)
+    got = calderon_apply(eta, f, g, ts)
+    want = np.array([calderon_exact_oracle(eta, f, g, float(t)) for t in ts])
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0)
+    assert got.tolist() == [calderon_apply(eta, f, g, float(t)) for t in ts]
+
+
+def test_corner_form_divergent_kernel_cases() -> None:
+    # kernel 1: S = (int f* dr/r)(int g* ds/s), finite only when both vanish near 0
+    flat = EtaSet([(0, 0, 0)])
+    f = StepFunction([1.0, 2.0], [0.0, 1.0])
+    one = StepFunction([1.0], [1.0])
+    assert calderon_apply(flat, f, f, 1.0) == pytest.approx(math.log(2) ** 2, rel=1e-14)
+    assert calderon_exact_oracle(flat, f, f, 1.0) == pytest.approx(math.log(2) ** 2, rel=1e-14)
+    # f vanishes near 0 but `one` does not, and neither kernel (1, or r)
+    # decays as s -> 0
+    for eta in (flat, EtaSet([(1, 0, 0)])):
+        assert calderon_apply(eta, f, one, 2.0) == math.inf
+        assert calderon_exact_oracle(eta, f, one, 2.0) == math.inf
+    zero = StepFunction([1.0], [0.0])
+    assert calderon_apply(flat, one, zero, 2.0) == 0.0
+
+
+def test_corner_form_error_grows_as_inverse_piece_width() -> None:
+    g = StepFunction([0.5, 2.0, 3.0], [2.0, 0.0, 1.0])
+    for d in (1e-2, 1e-4, 1e-6):
+        f = StepFunction([1.3, 1.3 * (1 + d)], [0.0, 1.0])
+        for eta in (ETA_SQRT_MIN, ETA_SEPARABLE):
+            for t in (0.01, 1.0, 50.0):
+                want = calderon_exact_oracle(eta, f, g, t)
+                assert calderon_apply(eta, f, g, t) == pytest.approx(want, rel=1e-13 / d)
+
+
+def test_calderon_apply_array_matches_scalar_calls() -> None:
+    # 100 values of t span several evaluation blocks
+    rng = np.random.default_rng(10)
+    f, g = random_step(rng, 7), random_monotone_step(rng, 5)
+    ts = np.geomspace(1e-3, 1e3, 100)
+    for eta in (ETA_SQRT_MIN, ETA_SEPARABLE):
+        got = calderon_apply(eta, f, g, ts)
+        assert got.shape == ts.shape
+        assert got.tolist() == [calderon_apply(eta, f, g, float(t)) for t in ts]
+    assert calderon_apply(ETA_SQRT_MIN, f, g, np.array([])).shape == (0,)
 
 
 # -- half-line Lorentz functionals ------------------------------------------------------
@@ -241,9 +334,7 @@ def quadrature_t_functional(fstar, gstar, q, w, lo=1e-6, hi=1e7, n=6000) -> floa
     analytic power pieces outside it (S is constant below lo and exactly
     proportional to t^{-1/2} above hi)."""
     lam = np.linspace(math.log(lo), math.log(hi), n)
-    svals = np.array(
-        [calderon_apply(ETA_SQRT_MIN, fstar, gstar, math.exp(x)) for x in lam]
-    )
+    svals = calderon_apply(ETA_SQRT_MIN, fstar, gstar, np.exp(lam))
     integrand = np.exp(lam * w / q) * svals**w
     body = float(np.trapezoid(integrand, lam))
     head = svals[0] ** w * lo ** (w / q) * q / w
@@ -269,9 +360,7 @@ def test_t_functional_sup_form_unit_indicators() -> None:
     one = StepFunction([1.0], [1.0], monotone=True)
     got = calderon_t_functional(one, one, 4, math.inf)
     ts = np.geomspace(1e-4, 1e6, 4000)
-    brute = max(
-        t ** 0.25 * calderon_apply(ETA_SQRT_MIN, one, one, float(t)) for t in ts
-    )
+    brute = float(np.max(ts**0.25 * calderon_apply(ETA_SQRT_MIN, one, one, ts)))
     assert got == pytest.approx(brute, rel=1e-3)
     assert got >= brute - 1e-12
 

@@ -58,6 +58,12 @@ def test_fourier_fft_agrees_with_direct() -> None:
         f = random_function(g, 2)
         a, b = fourier(f), fourier_fft(f)
         assert np.max(np.abs(a.values - b.values)) < 1e-12
+    # the per-axis FFT loop is exactly what np.fft.fftn computes
+    for orders in ([6], [5, 5], [2, 3, 2]):
+        g = FiniteAbelianGroup(orders)
+        f = random_function(g, 3)
+        want = np.fft.fftn(f.values.reshape(g.orders)).reshape(-1)
+        assert np.array_equal(fourier_fft(f).values, want)
 
 
 def test_parseval_identity() -> None:
@@ -83,12 +89,14 @@ def test_fourier_of_delta_is_flat() -> None:
 
 
 def test_tf_shift_of_delta() -> None:
-    g = FiniteAbelianGroup([5])
-    x, xi = 2, 3
-    shifted = tf_shift(GroupFunction.delta(g), x, xi)
-    for y in range(5):
-        expected = g.character(y, xi) if y == x else 0.0
-        assert shifted.values[y] == pytest.approx(expected, abs=1e-12)
+    for orders, at, x, xi in (([5], 0, 2, 3), ([4, 6], (1, 2), (2, 5), (3, 1))):
+        g = FiniteAbelianGroup(orders)
+        shifted = tf_shift(GroupFunction.delta(g, at), x, xi)
+        # delta_at moves to at + x and picks up the phase <at + x, xi>
+        target = g.index(np.add(g.coords(g.index(at)), g.coords(g.index(x))))
+        for y in range(g.size):
+            expected = g.character(y, xi) if y == target else 0.0
+            assert shifted.values[y] == pytest.approx(expected, abs=1e-12)
 
 
 def test_tf_shift_is_isometry() -> None:
@@ -323,6 +331,7 @@ def test_transforms_leave_character_table_unbuilt() -> None:
     f, h = random_function(g, 42), random_function(g, 43)
     weyl_operator(stft(f, h), tau)
     wigner_tau(f, h, tau)
+    tf_shift(f, (1, 5), (3, 2))
     assert "character_table" not in g.__dict__
 
 

@@ -9,15 +9,19 @@ import pytest
 
 from tflab import (
     BASELINE_GRID,
+    ETA_SEPARABLE,
+    ETA_SQRT_MIN,
     FiniteAbelianGroup,
     GroupFunction,
     IndexTuple,
     TheoremInstance,
+    calderon_apply,
     check_admissibility,
     compute_baselines,
     extremizer_search,
     hypothesis_gaps,
     majorization_check,
+    rearrangement,
     restricted_weak_type_check,
     sample_functions,
     stft,
@@ -270,6 +274,40 @@ def test_majorization_zero_function() -> None:
     z = GroupFunction(g, np.zeros(6))
     f, _ = sample_functions("gaussian-random", g, 1)
     assert majorization_check(z, f) == 0.0
+
+
+def majorization_scalar_loop(f, g, eta=ETA_SQRT_MIN, fill=32) -> float:
+    """majorization_check with one scalar calderon_apply call per grid point."""
+    hstar = rearrangement(stft(f, g).to_measured())
+    if not len(hstar):
+        return 0.0
+    fstar = rearrangement(f.to_measured().abs())
+    gstar = rearrangement(g.to_measured().abs())
+    breaks = hstar.breaks
+    lows = np.concatenate(([breaks[0] / 4], breaks[:-1]))
+    mids = np.sqrt(lows * breaks)
+    grid = np.unique(
+        np.concatenate(
+            [mids, breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, fill)]
+        )
+    )
+    worst = 0.0
+    for t in grid:
+        top = hstar(float(t))
+        if top == 0:
+            continue
+        s_val = calderon_apply(eta, fstar, gstar, float(t))
+        worst = max(worst, top / s_val if s_val > 0 else math.inf)
+    return worst
+
+
+def test_majorization_matches_scalar_loop() -> None:
+    for orders in ([12], [4, 6]):
+        g = FiniteAbelianGroup(orders, haar_weight=0.5)
+        for seed, kind in enumerate(verify_mod.SAMPLE_KINDS):
+            f, win = sample_functions(kind, g, seed)
+            for eta in (ETA_SQRT_MIN, ETA_SEPARABLE):
+                assert majorization_check(f, win, eta) == majorization_scalar_loop(f, win, eta)
 
 
 def test_uncertainty_chain_holds_and_orders() -> None:
