@@ -265,9 +265,8 @@ def _cmd_calderon(args: argparse.Namespace) -> int:
         "eta": [[format_exponent(e) for e in triple] for triple in eta.triples]
     }
     if args.t:
-        payload["values"] = [
-            {"t": t, "value": calderon_apply(eta, fstar, gstar, t)} for t in args.t
-        ]
+        values = calderon_apply(eta, fstar, gstar, np.array(args.t)).tolist()
+        payload["values"] = [{"t": t, "value": v} for t, v in zip(args.t, values)]
     if args.q is not None:
         w = args.w if args.w is not None else "inf"
         payload["t_functional"] = calderon_t_functional(

@@ -161,8 +161,9 @@ class FiniteAbelianGroup:
         return np.exp(2j * np.pi * (num / lcm))
 
     def character(self, x: ElementLike, xi: ElementLike) -> complex:
-        """The value of the character xi at x."""
-        return complex(self.character_table[self.index(x), self.index(xi)])
+        """The value of the character xi at x, read from one column of
+        ``character_table`` without building the table."""
+        return complex(self.characters(self.elements[self.index(xi)])[self.index(x)])
 
 
 def parse_group(spec: str, haar_weight: float = 1.0) -> FiniteAbelianGroup:

@@ -182,6 +182,12 @@ class StepFunction:
         return np.concatenate(([0.0], self.breaks))[:-1]
 
     @property
+    def jumps(self) -> np.ndarray:
+        """Drop at each breakpoint: values[i] - values[i+1], with 0 past the
+        end, so the function is the sum of jumps[i] * 1_(0, breaks[i]]."""
+        return -np.diff(self.values, append=0.0)
+
+    @property
     def support_measure(self) -> float:
         """Lebesgue measure of {t : value > 0}."""
         return self.distribution(0.0)

@@ -50,6 +50,35 @@ def weyl_operator_pointmass(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
     return k
 
 
+# -- the multiplicative convolution, one pair of pieces at a time ---------------
+
+
+def _positive_pieces(sf: StepFunction) -> List[Tuple[float, float, float]]:
+    """(lo, hi, value) of the pieces with a positive value."""
+    return [
+        (lo, hi, v)
+        for lo, hi, v in zip(sf.lows.tolist(), sf.breaks.tolist(), sf.values.tolist())
+        if v > 0
+    ]
+
+
+def mult_convolution_oracle(f: StepFunction, g: StepFunction, x: float) -> float:
+    """(f * g)(x) = integral of f(y) g(x/y) dy/y, evaluated exactly.
+
+    For each pair of pieces the overlap in y is an interval whose dy/y
+    measure is a difference of logarithms.
+    """
+    total = 0.0
+    for flo, fhi, fv in _positive_pieces(f):
+        for glo, ghi, gv in _positive_pieces(g):
+            # g(x/y) = gv for y in (x/ghi, x/glo]
+            lo = max(flo, x / ghi)
+            hi = min(fhi, x / glo) if glo > 0 else fhi
+            if hi > lo:
+                total += fv * gv * math.log(hi / lo)
+    return total
+
+
 # -- the Calderon operator, one (f*-piece, g*-piece, band) rectangle at a time --
 
 

@@ -30,7 +30,7 @@ from tflab import (
     young_check,
 )
 
-from oracles import calderon_exact_oracle
+from oracles import calderon_exact_oracle, mult_convolution_oracle
 
 
 def random_step(rng: np.random.Generator, pieces: int = 4) -> StepFunction:
@@ -43,6 +43,21 @@ def random_monotone_step(rng: np.random.Generator, pieces: int = 4) -> StepFunct
     breaks = np.sort(rng.uniform(0.05, 8.0, size=pieces))
     values = np.sort(rng.uniform(0.05, 5.0, size=pieces))[::-1]
     return StepFunction(breaks, values, monotone=True)
+
+
+@st.composite
+def step_functions(draw) -> StepFunction:
+    """Non-monotone step functions with zero-valued pieces.
+
+    Consecutive breakpoints are at least 5% apart: the corner sum takes
+    differences of corner integrals, so a piece of relative width d costs
+    about 4e-15/d of relative accuracy (pinned separately below).
+    """
+    n = draw(st.integers(1, 6))
+    log_gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=n, max_size=n))
+    start = draw(st.floats(-3.0, 1.0))
+    values = draw(st.lists(st.just(0.0) | st.floats(0.1, 5.0), min_size=n, max_size=n))
+    return StepFunction(np.exp(start + np.cumsum(log_gaps)), values)
 
 
 # -- EtaSet -----------------------------------------------------------------------
@@ -90,6 +105,117 @@ def test_convolution_with_zero_vanishes() -> None:
     f = StepFunction([1.0, 2.0], [1.0, 3.0])
     z = StepFunction([1.0], [0.0])
     assert convolution_norm(f, z, 2) == 0.0
+
+
+def test_mult_convolution_zero_outside_support() -> None:
+    f = StepFunction([0.5, 1.0, 2.0], [0.0, 0.7, 0.3])
+    g = StepFunction([1.5, 3.0, 4.0], [0.0, 1.3, 0.0])
+    for x in (0.5 * 1.5 * 0.999, 0.5 * 1.5, 0.1, 2.0 * 3.0, 7.0, 1e9):
+        assert mult_convolution(f, g, x) == 0.0
+    assert mult_convolution(f, g, 1.0) > 0
+
+
+def convolution_probe_points(f: StepFunction, g: StepFunction) -> np.ndarray:
+    """Every product of breakpoints, the log-midpoints between consecutive
+    ones, and points below and above all of them."""
+    ends = np.unique(np.multiply.outer(f.breaks, g.breaks))
+    mids = np.sqrt(ends[1:] * ends[:-1])
+    return np.concatenate((ends, mids, ends[:1] * [0.9, 1e-3], ends[-1:] * [1.1, 1e3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), step_functions())
+def test_mult_convolution_matches_oracle(f, g) -> None:
+    scale = f.sup * g.sup
+    support = [
+        (sf.lows[sf.values > 0][0], sf.breaks[sf.values > 0][-1]) if sf.sup else (1.0, 0.0)
+        for sf in (f, g)
+    ]
+    below, above = support[0][0] * support[1][0], support[0][1] * support[1][1]
+    for x in convolution_probe_points(f, g):
+        got = mult_convolution(f, g, x)
+        if x < below or x > above:
+            assert got == 0.0
+        assert abs(got - mult_convolution_oracle(f, g, x)) <= 1e-12 * scale
+
+
+def mean_power(u0: float, u1: float, w: float) -> float:
+    """Mean of u^w over a cell on which u runs affinely from u0 to u1 >= 0."""
+    m, r = (u0 + u1) / 2, abs(u1 - u0) / (u0 + u1) if u0 + u1 else 0.0
+    if r > 0.5:
+        return (u1 ** (w + 1) - u0 ** (w + 1)) / ((w + 1) * (u1 - u0))
+    # near-flat: u = m(1 + r s) with s uniform on [-1, 1], whose odd moments
+    # vanish and even moments are 1/(k+1); the binomial series converges fast
+    total, coef = 0.0, 1.0
+    for k in range(64):
+        if k % 2 == 0:
+            total += coef * r**k / (k + 1)
+        coef *= (w - k) / (k + 1)
+    return m**w * total
+
+
+def oracle_convolution_norm(f: StepFunction, g: StepFunction, w: float) -> float:
+    """||f * g||_w built from oracle values at the products of breakpoints:
+    f * g is continuous and affine in log x between consecutive products."""
+    ends = np.unique(np.multiply.outer(f.breaks, g.breaks))
+    h = [mult_convolution_oracle(f, g, float(x)) for x in ends]
+    # below the first product, f * g is constant + slope * log x
+    head = [mult_convolution_oracle(f, g, float(ends[0]) * c) for c in (0.5, 0.25)]
+    if max(head) > 0 and not math.isinf(w):
+        return math.inf
+    if math.isinf(w):
+        if abs(head[0] - head[1]) > 1e-9 * max(head):
+            return math.inf
+        return max(h + head)
+    total = sum(
+        math.log(b / a) * mean_power(ha, hb, w)
+        for a, b, ha, hb in zip(ends, ends[1:], h, h[1:])
+    )
+    return total ** (1 / w)
+
+
+CONVOLUTION_EXPONENTS = (1, 2, 3.5, math.inf)
+
+
+def assert_norms_match(f: StepFunction, g: StepFunction, rtol: float) -> None:
+    for w in CONVOLUTION_EXPONENTS:
+        want = oracle_convolution_norm(f, g, w)
+        got = convolution_norm(f, g, "7/2" if w == 3.5 else w)
+        if math.isinf(want):
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(want, rel=rtol, abs=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), step_functions())
+def test_convolution_norm_matches_oracle_cells(f, g) -> None:
+    assert_norms_match(f, g, rtol=1e-12)
+
+
+def test_convolution_norm_head_cell() -> None:
+    # g(0+) = 0, so the head cell is flat: the sup is finite, but every
+    # finite-w norm diverges.  Summed over the corner products, the weights
+    # df_i dg_j of this pair leave 1.7e-16, not 0, as the head cell's slope.
+    f = StepFunction([1.0, 2.0], [2.0, 1.0])
+    g = StepFunction([1.5, 3.0, 4.0], [0.0, 0.1, 1.1])
+    assert math.isfinite(convolution_norm(f, g, math.inf))
+    assert math.isfinite(convolution_norm(g, f, math.inf))
+    assert convolution_norm(f, g, 2) == math.inf
+    assert_norms_match(f, g, rtol=1e-12)
+    # with f(0+) g(0+) > 0 the convolution grows like -log x near 0
+    assert convolution_norm(f, f, math.inf) == math.inf
+    assert_norms_match(f, f, rtol=1e-12)
+
+
+def test_convolution_error_grows_as_inverse_piece_width() -> None:
+    g = StepFunction([0.5, 2.0, 3.0], [0.0, 2.0, 1.0])
+    for d in (1e-2, 1e-4, 1e-6):
+        f = StepFunction([1.3, 1.3 * (1 + d)], [0.0, 1.0])
+        for x in convolution_probe_points(f, g):
+            want = mult_convolution_oracle(f, g, x)
+            assert mult_convolution(f, g, x) == pytest.approx(want, rel=1e-13 / d)
+        assert_norms_match(f, g, rtol=1e-13 / d)
 
 
 # -- Young and Hardy ------------------------------------------------------------------
@@ -220,21 +346,6 @@ BAND_KERNELS = [
     EtaSet([(1, 0, 0)]),
     EtaSet([(0, 1, "1/2"), (0, 1, 0)]),
 ]
-
-
-@st.composite
-def step_functions(draw) -> StepFunction:
-    """Non-monotone step functions with zero-valued pieces.
-
-    Consecutive breakpoints are at least 5% apart: the corner sum takes
-    differences of corner integrals, so a piece of relative width d costs
-    about 4e-15/d of relative accuracy (pinned separately below).
-    """
-    n = draw(st.integers(1, 6))
-    log_gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=n, max_size=n))
-    start = draw(st.floats(-3.0, 1.0))
-    values = draw(st.lists(st.just(0.0) | st.floats(0.1, 5.0), min_size=n, max_size=n))
-    return StepFunction(np.exp(start + np.cumsum(log_gaps)), values)
 
 
 @settings(max_examples=150, deadline=None)

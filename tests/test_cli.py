@@ -121,16 +121,20 @@ def test_wigner_defaults_to_rihaczek(capsys, workdir) -> None:
 
 
 def test_calderon_point_values(capsys, workdir) -> None:
+    ts = (0.25, 1.0, 4.0, 37.5)
+    args = [a for t in ts for a in ("--t", str(t))]
     code, out = run(
         capsys, "calderon", "--f", str(workdir / "step.json"),
-        "--g", str(workdir / "step.json"), "--t", "1.0", "--t", "4.0",
+        "--g", str(workdir / "step.json"), *args,
     )
     assert code == 0
     data = json.loads(out)
     sf = StepFunction([1.0, 2.0], [2.0, 1.0], monotone=True)
-    for entry, t in zip(data["values"], (1.0, 4.0)):
-        assert entry["t"] == t
-        assert entry["value"] == pytest.approx(calderon_apply(ETA_SQRT_MIN, sf, sf, t))
+    assert [entry["t"] for entry in data["values"]] == list(ts)
+    # one array evaluation, the same values as one scalar call per t
+    assert [entry["value"] for entry in data["values"]] == [
+        calderon_apply(ETA_SQRT_MIN, sf, sf, t) for t in ts
+    ]
 
 
 def test_calderon_requires_t_or_functional(workdir) -> None:

@@ -95,6 +95,14 @@ def test_character_closed_form() -> None:
             assert g.character(x, xi) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("orders", [[12], [4, 6]])
+def test_character_reads_the_table_without_building_it(orders) -> None:
+    g = FiniteAbelianGroup(orders, haar_weight=0.5)
+    values = [[g.character(x, xi) for xi in range(g.size)] for x in range(g.size)]
+    assert "character_table" not in g.__dict__
+    assert np.array_equal(np.array(values), g.character_table)
+
+
 def test_bicharacter_law_exhaustive() -> None:
     g = FiniteAbelianGroup([3, 2])
     n = g.size
