@@ -10,6 +10,7 @@ environment variable supplies the seed when neither flag nor config does.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -394,13 +395,20 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         return _fail(f"cannot read baseline file {path}")
     tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     drifted = []
+    worst = 0.0
     for key, value in sorted(values.items()):
         old = stored.get(key)
         scale = max(abs(value), abs(old) if old is not None else 0.0, 1e-30)
-        ok = old is not None and abs(value - old) <= tolerance * scale
-        print(f"{key}: computed {value:.12g} stored {old} {'ok' if ok else 'DRIFT'}")
+        diff = abs(value - old) if old is not None else math.inf
+        ok = diff <= tolerance * scale
+        drift = diff / scale
+        # max() keeps a NaN it already holds, so a NaN drift stays visible
+        worst = drift if math.isnan(drift) else max(worst, drift)
+        print(f"{key}: computed {value:.12g} stored {old} relative drift"
+              f" {drift:.3e} {'ok' if ok else 'DRIFT'}")
         if not ok:
             drifted.append(key)
+    print(f"max relative drift: {worst:.3e} (tolerance {tolerance:.1e})")
     missing = sorted(set(stored) - set(values))
     if missing:
         print(f"stored entries not recomputed: {missing}")

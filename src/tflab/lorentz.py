@@ -3,16 +3,24 @@
 Functions live on finite lists of weighted atoms, so every rearrangement is
 a right-continuous step function on (0, infinity) and every Lorentz
 quasi-norm has an exact closed form: no quadrature is used anywhere in this
-module.  Two independent evaluation routes are provided, one through the
-rearrangement and one through the distribution function, so each can serve
-as an oracle for the other.
+module.  Three evaluation routes are provided:
 
-Both routes are NumPy array expressions over all atoms or pieces at once,
-with no per-atom Python loop.  Both divide the magnitudes by their supremum
-before taking powers and multiply it back at the end (every quasi-norm here
-is homogeneous of degree one), so values from 1e-150 to 1e150 neither
-overflow nor underflow.  The scalar helpers :func:`power_integral` and
-:func:`power_sup` remain for callers that work one piece at a time.
+* :func:`lorentz_norm` sorts the atoms by magnitude and integrates with one
+  piece per atom, without building f* (a run of tied magnitudes telescopes
+  to the integral over its merged piece);
+* :func:`step_halfline_functional` of :func:`rearrangement` integrates over
+  the pieces of f*, one per distinct magnitude, through the same closed
+  form; the Calderon layer needs f* itself;
+* :func:`lorentz_norm_via_distribution` integrates over the distribution
+  function.
+
+The last two serve as oracles for the first.  All three are NumPy array
+expressions over all atoms or pieces at once, with no per-atom Python loop.
+Each divides the magnitudes by their supremum before taking powers and
+multiplies it back at the end (every quasi-norm here is homogeneous of
+degree one), so values from 1e-150 to 1e150 neither overflow nor underflow.
+The scalar helpers :func:`power_integral` and :func:`power_sup` remain for
+callers that work one piece at a time.
 """
 
 from __future__ import annotations
@@ -119,8 +127,13 @@ class MeasuredFunction:
         return {
             "domain": self.domain,
             "atoms": [
-                [int(i), float(w), [float(v.real), float(v.imag)]]
-                for i, w, v in zip(self.ids, self.weights, self.values)
+                [i, w, [re, im]]
+                for i, w, re, im in zip(
+                    self.ids.tolist(),
+                    self.weights.tolist(),
+                    self.values.real.tolist(),
+                    self.values.imag.tolist(),
+                )
             ],
         }
 
@@ -240,9 +253,11 @@ def distribution(f: MeasuredFunction, alpha: float) -> float:
 def rearrangement(f: MeasuredFunction) -> StepFunction:
     """The non-increasing rearrangement f*(t) = inf{alpha : d_f(alpha) <= t}.
 
-    Atoms are stable-sorted by (|value| descending, id ascending); the tie
-    order never changes f* as a function.  Zero values are dropped since f*
-    vanishes past the measure of the support.
+    Atoms are stable-sorted by (|value| descending, id ascending), so the
+    breakpoints, running sums of unequal weights, are reproducible to the
+    bit; the tie order never changes f* as a function.  Zero values are
+    dropped since f* vanishes past the measure of the support.  For a
+    Lorentz norm alone, :func:`lorentz_norm` needs neither f* nor this sort.
     """
     mags = np.abs(f.values)
     keep = mags > 0
@@ -306,23 +321,40 @@ def step_halfline_functional(
 ) -> float:
     """{ integral of (t**e * sf(t))**q dt/t }**(1/q), sup form when q = inf.
 
-    Evaluated in closed form on all pieces at once; pieces where sf vanishes
-    are dropped, so divergent monomial integrals only matter where they are
-    hit by a positive value.  Only the first piece touches t = 0 and no
-    piece reaches t = inf, so divergence is decided by that piece alone.
+    Pieces where sf vanishes are dropped, so divergent monomial integrals
+    only matter where they are hit by a positive value.
+    """
+    lows, his, values = sf.lows, sf.breaks, sf.values
+    if not values.all():
+        keep = values > 0
+        lows, his, values = lows[keep], his[keep], values[keep]
+    return _pieces_functional(lows, his, values, e, q)
+
+
+def _pieces_functional(
+    lows: np.ndarray,
+    his: np.ndarray,
+    values: np.ndarray,
+    e: ExponentLike,
+    q: ExponentLike,
+) -> float:
+    """The functional of :func:`step_halfline_functional` for the function
+    equal to values[j] > 0 on each piece (lows[j], his[j]] and 0 elsewhere.
+
+    Evaluated in closed form on all pieces at once.  The pieces run in
+    order along (0, inf), so only the first touches t = 0, and none
+    reaches t = inf: divergence is decided by the first piece alone.
     """
     e = parse_exponent(e)
     q = parse_exponent(q)
     ef = as_float(e)
     if not is_inf(q) and q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
-    scale = sf.sup
-    if scale == 0 or math.isinf(scale):
+    if not values.size:
+        return 0.0
+    scale = float(values.max())
+    if math.isinf(scale):
         return scale
-    lows, his, values = sf.lows, sf.breaks, sf.values
-    if not values.all():
-        keep = values > 0
-        lows, his, values = lows[keep], his[keep], values[keep]
     values = values / scale
     if lows[0] == 0 and (ef < 0 or (ef == 0 and not is_inf(q))):
         return math.inf
@@ -344,16 +376,26 @@ def step_halfline_functional(
 
 
 def lorentz_norm(f: MeasuredFunction, p: ExponentLike, q: ExponentLike) -> float:
-    """The L^{p,q} quasi-norm via the rearrangement, p, q in (0, inf].
+    """The L^{p,q} quasi-norm, p, q in (0, inf], summed atom by atom.
 
-    For p = inf and finite q the defining integral diverges for every
-    nonzero f, so +inf is returned; L^{inf,inf} is the essential sup.
+    With magnitudes m_1 >= m_2 >= ... > 0 and T_j the running sum of their
+    weights, f* = m_j on [T_{j-1}, T_j), so for finite q
+    ||f||_{p,q}**q = (p/q) * sum of m_j**q * (T_j**(q/p) - T_{j-1}**(q/p)),
+    and ||f||_{p,inf} = max of m_j * T_j**(1/p).  A run of tied magnitudes
+    telescopes to the term of its merged piece of f*, so the order within
+    the run does not matter: one unstable sort suffices, and f* is never
+    built.  For p = inf and finite q the defining integral diverges for
+    every nonzero f, so +inf is returned; L^{inf,inf} is the essential sup.
     """
     p = parse_exponent(p)
-    q = parse_exponent(q)
     if not is_inf(p) and p <= 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    return step_halfline_functional(rearrangement(f), recip(p), q)
+    mags = np.abs(f.values)
+    # descending; zeros and NaNs sort after every positive magnitude
+    order = np.argsort(-mags)[: np.count_nonzero(mags > 0)]
+    totals = np.cumsum(f.weights[order])
+    lows = np.concatenate(([0.0], totals))[:-1]
+    return _pieces_functional(lows, totals, mags[order], recip(p), q)
 
 
 def lorentz_norm_via_distribution(

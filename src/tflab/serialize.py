@@ -21,6 +21,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .exponents import format_exponent
+from .lorentz import MeasuredFunction
 
 __all__ = [
     "canonical_json",
@@ -34,7 +35,7 @@ __all__ = [
 
 #: Keys whose values vary between otherwise identical runs (wall-clock
 #: timings); excluded from fingerprints and determinism comparisons.
-VOLATILE_KEYS = ("runtime_ms",)
+VOLATILE_KEYS = ("runtime_ms", "timings_ms")
 
 
 def _format_float(x: float) -> str:
@@ -45,7 +46,29 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write(obj: Any, out: io.StringIO) -> None:
+def _write_measured(mf: MeasuredFunction, out: io.StringIO) -> None:
+    """The bytes of ``_write(mf.to_json())``, from one join over the atoms."""
+    fmt = _format_float
+    out.write('{"atoms":[')
+    out.write(
+        ",".join(
+            f"[{i},{fmt(w)},[{fmt(re)},{fmt(im)}]]"
+            for i, w, re, im in zip(
+                mf.ids.tolist(),
+                mf.weights.tolist(),
+                mf.values.real.tolist(),
+                mf.values.imag.tolist(),
+            )
+        )
+    )
+    out.write('],"domain":')
+    _write(mf.domain, out)
+    out.write("}")
+
+
+def _write(obj: Any, out: io.StringIO, skip: Sequence[str] = ()) -> None:
+    """Write obj's canonical JSON; mapping keys in ``skip`` are left out at
+    every depth."""
     if obj is None or isinstance(obj, (bool, np.bool_)):
         out.write(json.dumps(bool(obj) if obj is not None else None))
     elif isinstance(obj, (int, np.integer)):
@@ -70,23 +93,25 @@ def _write(obj: Any, out: io.StringIO) -> None:
         for j, item in enumerate(obj):
             if j:
                 out.write(",")
-            _write(item, out)
+            _write(item, out, skip)
         out.write("]")
     elif isinstance(obj, Mapping):
         out.write("{")
-        for j, key in enumerate(sorted(obj)):
+        for j, key in enumerate(k for k in sorted(obj) if k not in skip):
             if not isinstance(key, str):
                 raise TypeError(f"mapping keys must be strings, got {key!r}")
             if j:
                 out.write(",")
             out.write(json.dumps(key, ensure_ascii=False))
             out.write(":")
-            _write(obj[key], out)
+            _write(obj[key], out, skip)
         out.write("}")
+    elif isinstance(obj, MeasuredFunction):
+        _write_measured(obj, out)
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out)
     elif hasattr(obj, "to_json"):
-        _write(obj.to_json(), out)
+        _write(obj.to_json(), out, skip)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}: {obj!r}")
 
@@ -114,9 +139,11 @@ def drop_keys(obj: Any, keys: Sequence[str] = VOLATILE_KEYS) -> Any:
 
 
 def fingerprint(obj: Any) -> str:
-    """12-hex-digit digest of the canonical form, volatile keys excluded."""
-    text = canonical_json(drop_keys(obj))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    """12-hex-digit digest of ``canonical_json(drop_keys(obj))``: the
+    volatile keys are skipped while writing, with no copy of the tree."""
+    out = io.StringIO()
+    _write(obj, out, VOLATILE_KEYS)
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()[:12]
 
 
 def load_json(path: str) -> Any:

@@ -186,6 +186,11 @@ class VerificationReport:
     hypothesis_gaps: List[str] = field(default_factory=list)
     baseline: Optional[float] = None
     runtime_ms: float = 0.0
+    #: wall-clock ms per stage, summed over trials: drawing (f, g), their
+    #: fingerprints, and the trial's norms and transforms
+    timings_ms: Dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(("sample", "fingerprint", "trial"), 0.0)
+    )
 
     def to_json(self) -> dict:
         return {
@@ -198,6 +203,7 @@ class VerificationReport:
             "skipped": self.skipped,
             "hypothesis_gaps": self.hypothesis_gaps,
             "runtime_ms": self.runtime_ms,
+            "timings_ms": self.timings_ms,
         }
 
 
@@ -476,11 +482,14 @@ def _ratio_trial(
 def _uncertainty_trial(
     instance: TheoremInstance,
     grp: FiniteAbelianGroup,
-    rng: np.random.Generator,
     f: GroupFunction,
     g: GroupFunction,
-) -> Optional[Tuple[float, float]]:
-    """(chain_lhs, chain_rhs) for a random region, or None when vacuous."""
+    trial: int,
+    sub_seed: int,
+    report: VerificationReport,
+) -> Optional[float]:
+    """chain_lhs / chain_rhs for a random region, or None when vacuous."""
+    rng = np.random.default_rng(sub_seed + 1)
     n = grp.size
     density = rng.uniform(0.05, 1.0)
     mask = rng.random((n, n)) < density
@@ -498,7 +507,12 @@ def _uncertainty_trial(
         )
     except ValueError:
         return None
-    return lhs, rhs
+    ratio = lhs / rhs if rhs else math.inf
+    if lhs > rhs * (1 + TOLERANCE):
+        report.violations.append(
+            {"trial": trial, "kind": "uncertainty-chain", "ratio": ratio}
+        )
+    return ratio
 
 
 def verify_theorem(instance: TheoremInstance) -> VerificationReport:
@@ -520,37 +534,32 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
         instance=instance, hypothesis_gaps=hypothesis_gaps(instance)
     )
     ratios = []
+    spent = dict.fromkeys(report.timings_ms, 0.0)
+    clock = time.perf_counter
+    mark = clock()
     pairs = _trial_pairs(grp, instance.seed, instance.trials)
     for i, (kind, sub_seed, f, g) in enumerate(pairs):
+        sampled = clock()
+        spent["sample"] += sampled - mark
         row = {
             "trial": i,
             "kind": kind,
             "fingerprint_f": fingerprint(f.to_measured()),
             "fingerprint_g": fingerprint(g.to_measured()),
         }
+        printed = clock()
+        spent["fingerprint"] += printed - sampled
         if instance.theorem in ("t5i", "t5ii"):
-            rng = np.random.default_rng(sub_seed + 1)
-            outcome = _uncertainty_trial(instance, grp, rng, f, g)
-            if outcome is None:
-                report.skipped += 1
-                continue
-            lhs, rhs = outcome
-            ratio = lhs / rhs if rhs else math.inf
-            if lhs > rhs * (1 + TOLERANCE):
-                report.violations.append(
-                    {"trial": i, "kind": "uncertainty-chain", "ratio": ratio}
-                )
+            ratio = _uncertainty_trial(instance, grp, f, g, i, sub_seed, report)
         elif instance.theorem == "t4dual":
             ratio = _weyl_trial(instance, grp, tau, f, g, i, sub_seed, report)
-            if ratio is None:
-                report.skipped += 1
-                continue
         else:
-            maybe = _ratio_trial(instance, grp, tau, f, g)
-            if maybe is None:
-                report.skipped += 1
-                continue
-            ratio = maybe
+            ratio = _ratio_trial(instance, grp, tau, f, g)
+        mark = clock()
+        spent["trial"] += mark - printed
+        if ratio is None:
+            report.skipped += 1
+            continue
         if not math.isfinite(ratio):
             report.violations.append(
                 {"trial": i, "kind": "nonfinite-ratio", "ratio": ratio}
@@ -561,7 +570,8 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
     if ratios:
         report.max_ratio = max(ratios)
         report.mean_ratio = math.fsum(ratios) / len(ratios)
-    report.runtime_ms = (time.perf_counter() - started) * 1e3
+    report.timings_ms = {stage: t * 1e3 for stage, t in spent.items()}
+    report.runtime_ms = (clock() - started) * 1e3
     return report
 
 

@@ -14,10 +14,16 @@ import numpy as np
 
 from tflab import (
     EtaSet,
+    ExponentLike,
     GroupEndomorphism,
     GroupFunction,
+    MeasuredFunction,
     StepFunction,
     TFArray,
+    parse_exponent,
+    rearrangement,
+    recip,
+    step_halfline_functional,
     tf_pairing,
     tf_shift,
     wigner_tau,
@@ -48,6 +54,17 @@ def weyl_operator_pointmass(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
             wig = wigner_tau(fb, GroupFunction.delta(grp, a), tau)
             k[a, b] = tf_pairing(phi, wig) / w
     return k
+
+
+# -- the Lorentz norm through f*, tied magnitudes merged ------------------------
+
+
+def lorentz_norm_via_rearrangement(
+    f: MeasuredFunction, p: ExponentLike, q: ExponentLike
+) -> float:
+    """||f||_{p,q} as the half-line functional of f*, p, q in (0, inf]:
+    tied magnitudes are merged into one piece before any power is taken."""
+    return step_halfline_functional(rearrangement(f), recip(parse_exponent(p)), q)
 
 
 # -- the multiplicative convolution, one pair of pieces at a time ---------------

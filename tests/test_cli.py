@@ -296,7 +296,11 @@ def test_baseline_compare_against_written_file(capsys, workdir) -> None:
     assert code == 0
     code, out = run(capsys, "baseline", "--path", str(path))
     assert code == 0
-    assert "ok" in out
+    entries = [line for line in out.splitlines() if ": computed " in line]
+    assert entries and all(line.endswith(" ok") for line in entries)
+    # a freshly written file is recomputed bit for bit
+    assert all("relative drift 0.000e+00" in line for line in entries)
+    assert out.splitlines()[-1] == "max relative drift: 0.000e+00 (tolerance 1.0e-09)"
 
 
 def test_baseline_detects_drift(capsys, workdir) -> None:
@@ -309,4 +313,13 @@ def test_baseline_detects_drift(capsys, workdir) -> None:
     write_json(str(path), data)
     code, out = run(capsys, "baseline", "--path", str(path))
     assert code == 1
-    assert "DRIFT" in out
+    line = next(line for line in out.splitlines() if line.startswith(f"{key}:"))
+    assert line.endswith(" DRIFT")
+    drift = float(line.split("relative drift ")[1].split()[0])
+    old, new = data["entries"][key], data["entries"][key] - 0.5
+    assert drift == pytest.approx(0.5 / max(abs(old), abs(new)), rel=1e-3)
+    worst = float(out.split("max relative drift: ")[1].split()[0])
+    assert worst == pytest.approx(drift, rel=1e-3)
+    # the wider allowance accepts the same drift, and the exit code follows
+    code, out = run(capsys, "baseline", "--path", str(path), "--tolerance", "10")
+    assert code == 0 and "DRIFT" not in out

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lorentz_norm_via_rearrangement
 from tflab import (
     MeasuredFunction,
     StepFunction,
@@ -299,6 +300,47 @@ def test_oracle_agreement_and_homogeneity_wide_range(f, p, q, k) -> None:
     c = 10.0**k
     scaled = lorentz_norm(f.scale_values(c), p, q)
     assert scaled == pytest.approx(c * a, rel=1e-9, abs=0)
+
+
+@st.composite
+def tied_functions(draw) -> MeasuredFunction:
+    """Long runs of tied magnitudes over a few levels, zero atoms (possibly
+    all of them, or a single atom), unequal weights and shuffled ids."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))
+    mags = np.array(draw(st.lists(st.sampled_from([0.0] + levels), min_size=n, max_size=n)))
+    units = st.sampled_from([1, -1, 1j, -1j])
+    phases = np.array(draw(st.lists(units, min_size=n, max_size=n)))
+    weights = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    ids = draw(st.permutations(range(n)))
+    return MeasuredFunction(ids, weights, mags * phases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tied_functions(),
+    st.one_of(
+        st.floats(0.2, 12.0), st.sampled_from([Fraction(1, 2), 1, 2, 3, math.inf])
+    ),
+    st.one_of(
+        st.floats(0.3, 8.0), st.sampled_from([Fraction(1, 2), 1, 2, 4, math.inf])
+    ),
+)
+def test_direct_sum_matches_both_oracles(f, p, q) -> None:
+    a = lorentz_norm(f, p, q)
+    assert a == pytest.approx(lorentz_norm_via_rearrangement(f, p, q), rel=1e-12, abs=0)
+    sup = float(np.abs(f.values).max())
+    if p == math.inf:
+        assert a == (sup if q == math.inf else math.inf if sup else 0.0)
+    else:
+        assert a == pytest.approx(lorentz_norm_via_distribution(f, p, q), rel=1e-12, abs=0)
+
+
+def test_lorentz_norm_rejects_nonpositive_exponents() -> None:
+    for f in (from_list([1.0, 2.0]), rearrangement_zero()):
+        for p, q in ((0, 1), (-2, 1), (2, 0), (2, -1), (math.inf, 0)):
+            with pytest.raises(ValueError):
+                lorentz_norm(f, p, q)
 
 
 # -- Holder and embedding --------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -11,8 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tflab import canonical_json, fingerprint, load_json, write_csv, write_json
-from tflab.serialize import drop_keys, report_csv
+from tflab import (
+    IndexTuple,
+    MeasuredFunction,
+    TheoremInstance,
+    canonical_json,
+    fingerprint,
+    load_json,
+    verify_theorem,
+    write_csv,
+    write_json,
+)
+from tflab.serialize import VOLATILE_KEYS, drop_keys, report_csv
 
 json_scalars = st.one_of(
     st.none(),
@@ -120,3 +131,82 @@ def test_report_csv_empty_trials(tmp_path) -> None:
     write_csv(path, {"trials": []})
     lines = open(path).read().strip().split("\n")
     assert lines == ["trial,ratio,fingerprint_f,fingerprint_g"]
+
+
+# -- the atom-list writer and the single-pass fingerprint --------------------------
+
+
+def sha12(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+
+
+def old_style_json(mf: MeasuredFunction) -> dict:
+    """The per-atom dict that atom lists were once written from."""
+    return {
+        "domain": mf.domain,
+        "atoms": [
+            [int(i), float(w), [float(v.real), float(v.imag)]]
+            for i, w, v in zip(mf.ids, mf.weights, mf.values)
+        ],
+    }
+
+
+special_floats = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+)
+
+
+@st.composite
+def measured_functions(draw) -> MeasuredFunction:
+    ids = draw(st.lists(st.integers(-(2**62), 2**62), unique=True, max_size=8))
+    n = len(ids)
+    weights = draw(
+        st.lists(st.floats(min_value=0, exclude_min=True), min_size=n, max_size=n)
+    )
+    pairs = st.tuples(special_floats, special_floats)
+    parts = draw(st.lists(pairs, min_size=n, max_size=n))
+    values = [complex(re, im) for re, im in parts]
+    quoted = st.sampled_from(['a"b', "c\\d", "Z\u2086\u00d7\u1e90"])
+    domain = draw(st.one_of(st.text(max_size=8), quoted))
+    return MeasuredFunction(ids, weights, values, domain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(measured_functions())
+def test_atom_list_writer_same_bytes(mf) -> None:
+    expected = canonical_json(old_style_json(mf))
+    assert canonical_json(mf) == expected
+    assert canonical_json(mf.to_json()) == expected
+    assert fingerprint(mf) == sha12(expected)
+    assert fingerprint({"f": [mf], "runtime_ms": 1.0}) == sha12(
+        canonical_json({"f": [old_style_json(mf)]})
+    )
+
+
+volatile_data = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(
+            st.one_of(st.sampled_from(VOLATILE_KEYS), st.text(max_size=8)),
+            children,
+            max_size=4,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(volatile_data)
+def test_fingerprint_is_digest_of_dropped_keys(obj) -> None:
+    assert fingerprint(obj) == sha12(canonical_json(drop_keys(obj)))
+
+
+def test_fingerprint_of_report_objects_skips_volatile_keys() -> None:
+    report = verify_theorem(TheoremInstance("t2", (6,), IndexTuple.of(q=3), trials=3))
+    assert report.timings_ms.keys() == {"sample", "fingerprint", "trial"}
+    for obj in (report, report.to_json(), {"runs": [report, {"runtime_ms": 2.0}]}):
+        assert fingerprint(obj) == sha12(canonical_json(drop_keys(obj)))
+    text = canonical_json(report)
+    assert '"runtime_ms":' in text and '"timings_ms":' in text

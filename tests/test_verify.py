@@ -193,6 +193,15 @@ def test_report_object_fingerprint_is_stable() -> None:
     assert fingerprint(a) == fingerprint(b) == fingerprint(a.to_json())
 
 
+def test_report_stage_timings() -> None:
+    report = verify_theorem(make("t1", trials=4, **T1))
+    timings = report.to_json()["timings_ms"]
+    assert set(timings) == {"sample", "fingerprint", "trial"}
+    assert all(t > 0 for t in timings.values())
+    # the stages are disjoint intervals inside the whole run
+    assert sum(timings.values()) <= report.runtime_ms
+
+
 def test_verify_theorem_rejects_inadmissible() -> None:
     with pytest.raises(ValueError):
         verify_theorem(make("t1", q=4, p=2, u=1, v=1, w=1))
