@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .verify import (
     verify_theorem,
 )
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 SUBCOMMANDS = (
     "group-info",
@@ -66,8 +66,7 @@ SUBCOMMANDS = (
 )
 
 #: Built-in defaults, overridable by config file, env, then flags.
-DEFAULT_SEED = 42
-DEFAULT_TRIALS = 200
+DEFAULT_SEED = TheoremInstance.seed
 DEFAULT_TOLERANCE = 1e-9
 
 _ETA_ALIASES = {
@@ -79,33 +78,6 @@ _ETA_ALIASES = {
     "(t2)": "separable",
     "custom": "custom",
 }
-
-_INDEX_FLAGS = ("p", "p1", "p2", "q", "s", "u", "v", "w", "r")
-
-
-@dataclass
-class RunConfig:
-    """A fully resolved invocation; round-trips through its JSON form."""
-
-    subcommand: str
-    options: Dict[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"subcommand": self.subcommand, "options": self.options}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RunConfig":
-        return cls(subcommand=obj["subcommand"], options=dict(obj["options"]))
-
-    @classmethod
-    def from_namespace(cls, args: argparse.Namespace) -> "RunConfig":
-        options = {
-            key: value
-            for key, value in sorted(vars(args).items())
-            if key not in ("subcommand", "func", "config") and value is not None
-        }
-        return cls(subcommand=args.subcommand, options=options)
-
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -282,9 +254,9 @@ def _cmd_calderon(args: argparse.Namespace) -> int:
 def _build_instance(args: argparse.Namespace) -> TheoremInstance:
     indices = IndexTuple.of(
         **{
-            name: getattr(args, name)
-            for name in _INDEX_FLAGS
-            if getattr(args, name, None) is not None
+            slot.name: getattr(args, slot.name)
+            for slot in fields(IndexTuple)
+            if getattr(args, slot.name, None) is not None
         }
     )
     tau = None
@@ -298,7 +270,7 @@ def _build_instance(args: argparse.Namespace) -> TheoremInstance:
         group=tuple(parse_group(args.group).orders),
         indices=indices,
         tau=tau,
-        trials=args.trials if args.trials is not None else DEFAULT_TRIALS,
+        trials=args.trials if args.trials is not None else TheoremInstance.trials,
         seed=_resolve_seed(args),
     )
 
@@ -428,8 +400,10 @@ def _add_common(sub: argparse.ArgumentParser, *, group: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated flags: "--s" would silently mean "--seed"
     parser = argparse.ArgumentParser(
         prog="tflab",
+        allow_abbrev=False,
         description="Time-frequency transforms and inequality checks on"
         " finite abelian groups.",
     )
@@ -440,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     class _Subs:
         def add_parser(self, name: str, **kwargs: Any) -> argparse.ArgumentParser:
-            sub = subs_action.add_parser(name, **kwargs)
+            sub = subs_action.add_parser(name, allow_abbrev=False, **kwargs)
             registry[name] = sub
             return sub
 
@@ -510,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--theorem", required=True, help="catalog name, e.g. t1")
         sub.add_argument("--group", required=True, help="group spec, e.g. 12 or 4x6")
-        for flag in _INDEX_FLAGS:
-            sub.add_argument(f"--{flag}", type=parse_exponent)
+        for slot in fields(IndexTuple):
+            sub.add_argument(f"--{slot.name}", type=parse_exponent)
         sub.add_argument("--tau", help="integer matrix, rows ; separated")
         sub.add_argument("--trials", type=int, help="sample pairs to draw")
         sub.add_argument("--seed", type=int, help="instance seed (default 42)")

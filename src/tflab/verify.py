@@ -1,19 +1,22 @@
 """Randomized and exhaustive checks for the transform inequalities.
 
-Each supported inequality family gets an admissibility predicate over its
-index tuple, a deterministic trial generator, and a report object whose
-content depends only on (instance, seed).  Inequalities with explicit
-constants are asserted; families whose constants are not pinned down are
-tracked empirically against stored regression baselines.
+One catalogue, ``_THEOREMS``, says what each theorem id means: its index
+rules, the exponents of ||f|| and ||g||, the numerator transform and its
+exponents, its trial (a norm ratio, the uncertainty chain or the Weyl
+quantization sample) and whether it needs an automorphism tau.  Trials are
+deterministic, and a report's content depends only on (instance, seed).
+Inequalities with explicit constants are asserted; families whose
+constants are not pinned down are tracked empirically against stored
+regression baselines.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,19 +66,6 @@ __all__ = [
     "compute_baselines",
 ]
 
-THEOREMS = (
-    "t1prime",
-    "t1",
-    "t2",
-    "t3i",
-    "t3ii",
-    "t3iii",
-    "t3iv",
-    "t4dual",
-    "t5i",
-    "t5ii",
-)
-
 SAMPLE_KINDS = ("gaussian-random", "indicator", "spike-plus-flat", "tf-atom")
 
 #: Relative slack for inequalities stated with an explicit constant.
@@ -83,9 +73,6 @@ TOLERANCE = 1e-9
 
 
 # -- index tuples ----------------------------------------------------------------
-
-
-_INDEX_FIELDS = ("p", "p1", "p2", "q", "s", "u", "v", "w", "r")
 
 
 @dataclass(frozen=True)
@@ -100,11 +87,9 @@ class IndexTuple:
     p1: Optional[Exponent] = None
     p2: Optional[Exponent] = None
     q: Optional[Exponent] = None
-    s: Optional[Exponent] = None
     u: Optional[Exponent] = None
     v: Optional[Exponent] = None
     w: Optional[Exponent] = None
-    r: Optional[Exponent] = None
 
     @classmethod
     def of(cls, **kwargs: ExponentLike) -> "IndexTuple":
@@ -125,6 +110,9 @@ class IndexTuple:
     @classmethod
     def from_json(cls, obj: dict) -> "IndexTuple":
         return cls.of(**obj)
+
+
+_INDEX_FIELDS = tuple(slot.name for slot in fields(IndexTuple))
 
 
 @dataclass(frozen=True)
@@ -168,8 +156,8 @@ class TheoremInstance:
             tau=None
             if obj.get("tau") is None
             else tuple(tuple(r) for r in obj["tau"]),
-            trials=int(obj.get("trials", 200)),
-            seed=int(obj.get("seed", 42)),
+            trials=int(obj.get("trials", cls.trials)),
+            seed=int(obj.get("seed", cls.seed)),
         )
 
 
@@ -207,31 +195,57 @@ class VerificationReport:
         }
 
 
-# -- admissibility -----------------------------------------------------------------
+# -- index rules -------------------------------------------------------------------
+
+#: An index rule returns why an index tuple breaks it, or None.
+_Rule = Callable[[IndexTuple], Optional[str]]
 
 
-def _require(cond: bool, why: str) -> Optional[str]:
-    return None if cond else why
+def _slots(
+    names: str, why: Callable[[str, Exponent], Optional[str]]
+) -> Tuple[_Rule, ...]:
+    """One rule per space-separated slot: the slot is required, and
+    ``why(name, value)`` explains a value outside its range."""
+
+    def rule(name: str) -> _Rule:
+        def check(idx: IndexTuple) -> Optional[str]:
+            x = getattr(idx, name)
+            return f"{name} is required" if x is None else why(name, x)
+
+        return check
+
+    return tuple(rule(name) for name in names.split())
 
 
-def _in_open(x: Optional[Exponent], lo: int, name: str) -> Optional[str]:
-    if x is None:
-        return f"{name} is required"
-    ok = not is_inf(x) and lo < x
-    return _require(ok, f"{name} must lie in ({lo}, inf), got {format_exponent(x)}")
+def _above(lo: int, names: str) -> Tuple[_Rule, ...]:
+    """Each slot in the open interval (lo, inf)."""
+    return _slots(
+        names,
+        lambda name, x: None
+        if not is_inf(x) and lo < x
+        else f"{name} must lie in ({lo}, inf), got {format_exponent(x)}",
+    )
 
 
-def _in_closed_interval(
-    x: Optional[Exponent], name: str, upper_inf_ok: bool
-) -> Optional[str]:
-    if x is None:
-        return f"{name} is required"
-    if is_inf(x):
-        return _require(upper_inf_ok, f"{name} must be finite, got inf")
-    return _require(x >= 1, f"{name} must be >= 1, got {format_exponent(x)}")
+def _at_least_one(names: str, finite: bool = False) -> Tuple[_Rule, ...]:
+    """Each slot in [1, inf], or in [1, inf) when finite."""
+
+    def why(name: str, x: Exponent) -> Optional[str]:
+        if is_inf(x):
+            return f"{name} must be finite, got inf" if finite else None
+        return None if x >= 1 else f"{name} must be >= 1, got {format_exponent(x)}"
+
+    return _slots(names, why)
 
 
-def _p_window(p: Optional[Exponent], q: Exponent) -> Optional[str]:
+def _need(holds: Callable[[IndexTuple], bool], why: str) -> Tuple[_Rule]:
+    """A relation between slots that earlier rules have already checked."""
+    return (lambda idx: None if holds(idx) else why,)
+
+
+def _p_window(idx: IndexTuple) -> Optional[str]:
+    """p in [q', q], p != 2, for a q already known to lie in (2, inf)."""
+    p, q = idx.p, idx.q
     if p is None:
         return "p is required"
     qc = conjugate(q)
@@ -246,124 +260,21 @@ def _p_window(p: Optional[Exponent], q: Exponent) -> Optional[str]:
     return None
 
 
-def _check_indices(instance: TheoremInstance) -> Optional[str]:
-    idx = instance.indices
-    t = instance.theorem
-
-    if t in ("t1prime", "t3i", "t5i"):
-        for name in ("q", "p1", "p2"):
-            err = _in_open(getattr(idx, name), 2 if name == "q" else 1, name)
-            if err:
-                return err
-        if recip(idx.p1) + recip(idx.p2) != 1 - recip(idx.q):
-            return "need 1/p1 + 1/p2 = 1 - 1/q"
-        if t == "t5i":
-            for name in ("u", "v"):
-                err = _in_closed_interval(getattr(idx, name), name, upper_inf_ok=True)
-                if err:
-                    return err
-            if recip(idx.u) + recip(idx.v) > 1:
-                return "need 1/u + 1/v <= 1"
-            return None
-        for name in ("u", "v", "w"):
-            err = _in_closed_interval(getattr(idx, name), name, upper_inf_ok=True)
-            if err:
-                return err
-        if recip(idx.u) + recip(idx.v) < recip(idx.w):
-            return "need 1/u + 1/v >= 1/w"
-        return None
-
-    if t in ("t1", "t3ii", "t4dual", "t5ii"):
-        err = _in_open(idx.q, 2, "q")
-        if err:
-            return err
-        err = _p_window(idx.p, idx.q)
-        if err:
-            return err
-        if t == "t5ii":
-            for name in ("u", "v"):
-                err = _in_closed_interval(getattr(idx, name), name, upper_inf_ok=False)
-                if err:
-                    return err
-            if recip(idx.u) + recip(idx.v) <= 1:
-                return "need 1/u + 1/v > 1"
-            return None
-        if t == "t4dual":
-            if idx.w is None or is_inf(idx.w) or not 1 < idx.w:
-                return "w must lie in (1, inf)"
-            if idx.u is None or is_inf(idx.u) or not 1 < idx.u:
-                return "u must lie in (1, inf)"
-            err = _in_closed_interval(idx.v, "v", upper_inf_ok=False)
-            if err:
-                return err
-        else:
-            for name in ("u", "v", "w"):
-                err = _in_closed_interval(getattr(idx, name), name, upper_inf_ok=False)
-                if err:
-                    return err
-        if recip(idx.u) + recip(idx.v) < 1 + recip(idx.w):
-            return "need 1/u + 1/v >= 1 + 1/w"
-        return None
-
-    if t == "t2":
-        return _in_open(idx.q, 2, "q")
-
-    if t in ("t3iii", "t3iv"):
-        err = _in_open(idx.p, 2, "p")
-        if err:
-            return err
-        for name in ("u", "v", "w"):
-            err = _in_closed_interval(getattr(idx, name), name, upper_inf_ok=True)
-            if err:
-                return err
-        if recip(idx.u) + recip(idx.v) < 1 + recip(idx.w):
-            return "need 1/u + 1/v >= 1 + 1/w"
-        return None
-
-    raise AssertionError(f"unhandled theorem {t!r}")
-
-
-def _needs_tau(theorem: str) -> bool:
-    return theorem in ("t3i", "t3ii", "t4dual")
-
-
-def check_admissibility(instance: TheoremInstance) -> Tuple[bool, str]:
-    """Whether the instance satisfies its inequality's index hypotheses.
-
-    The explanation names the first violated constraint; automorphism
-    hypotheses on tau are checked against the group.
-    """
-    err = _check_indices(instance)
-    if err:
-        return False, err
-    if _needs_tau(instance.theorem):
-        if instance.tau is None:
-            return False, "tau (an automorphism matrix) is required"
-        grp = FiniteAbelianGroup(instance.group)
-        endo = GroupEndomorphism(grp, instance.tau)
-        if not endo.is_automorphism:
-            return False, "tau is not an automorphism of the group"
-    return True, "admissible"
-
-
-def hypothesis_gaps(instance: TheoremInstance) -> List[str]:
-    """Hypotheses of the source inequality that no finite group satisfies.
-
-    These do not block a run; they are attached to every report so that
-    empirical ratios are not mistaken for a verified theorem conclusion.
-    """
-    gaps = []
-    if instance.theorem in ("t3i", "t3ii", "t4dual"):
-        gaps.append(
-            "tau-modulus hypothesis unattainable: every automorphism of a"
-            " finite group has modulus exactly 1, never in (0, 1)"
-        )
-    if instance.theorem == "t4dual":
-        gaps.append(
-            "nonatomicity hypothesis unattainable: counting-type Haar"
-            " measures on finite groups are purely atomic"
-        )
-    return gaps
+#: 1/p1 + 1/p2 = 1 - 1/q with q in (2, inf) and p1, p2 in (1, inf)
+_SPLIT_Q = _above(2, "q") + _above(1, "p1 p2") + _need(
+    lambda i: recip(i.p1) + recip(i.p2) == 1 - recip(i.q),
+    "need 1/p1 + 1/p2 = 1 - 1/q",
+)
+#: q in (2, inf) and p in [q', q] without 2
+_P_IN_WINDOW = _above(2, "q") + (_p_window,)
+#: the Hoelder-type relation 1/u + 1/v >= 1/w
+_HOLDER = _need(
+    lambda i: recip(i.u) + recip(i.v) >= recip(i.w), "need 1/u + 1/v >= 1/w"
+)
+#: the Young-type relation 1/u + 1/v >= 1 + 1/w
+_YOUNG = _need(
+    lambda i: recip(i.u) + recip(i.v) >= 1 + recip(i.w), "need 1/u + 1/v >= 1 + 1/w"
+)
 
 
 # -- deterministic test-function generation ------------------------------------------
@@ -426,85 +337,49 @@ def _trial_pairs(
         yield kind, sub_seed, f, g
 
 
-# -- ratio evaluation per inequality --------------------------------------------------
-
-
-def _pair_norms(
-    theorem: str, idx: IndexTuple, f: GroupFunction, g: GroupFunction
-) -> float:
-    if theorem in ("t1prime", "t3i"):
-        return f.lorentz_norm(idx.p1, idx.u) * g.lorentz_norm(idx.p2, idx.v)
-    if theorem in ("t1", "t3ii"):
-        return f.lorentz_norm(conjugate(idx.p), idx.u) * g.lorentz_norm(idx.p, idx.v)
-    if theorem == "t2":
-        return f.lorentz_norm(2, 1) * g.lorentz_norm(2, 1)
-    if theorem == "t3iii":
-        return f.lorentz_norm(idx.p, idx.u) * g.lorentz_norm(conjugate(idx.p), idx.v)
-    if theorem == "t3iv":
-        return f.lorentz_norm(conjugate(idx.p), idx.u) * g.lorentz_norm(idx.p, idx.v)
-    raise AssertionError(f"no pair norm for {theorem!r}")
-
-
-def _transform_norm(
-    theorem: str,
-    idx: IndexTuple,
-    f: GroupFunction,
-    g: GroupFunction,
-    tau: Optional[GroupEndomorphism],
-) -> float:
-    if theorem in ("t1prime", "t1"):
-        return stft(f, g).lorentz_norm(idx.q, idx.w)
-    if theorem == "t2":
-        return stft(f, g).lorentz_norm(idx.q, 1)
-    if theorem in ("t3i", "t3ii"):
-        return wigner_tau(f, g, tau).lorentz_norm(idx.q, idx.w)
-    if theorem == "t3iii":
-        return rihaczek(f, g).lorentz_norm(idx.p, idx.w)
-    if theorem == "t3iv":
-        return conjugate_rihaczek(f, g).lorentz_norm(idx.p, idx.w)
-    raise AssertionError(f"no transform norm for {theorem!r}")
+# -- trials ------------------------------------------------------------------------
+#
+# Every trial takes (instance, tau, f, g, trial index, sub_seed, report) and
+# returns its ratio, or None when the denominator vanishes.
 
 
 def _ratio_trial(
     instance: TheoremInstance,
-    grp: FiniteAbelianGroup,
     tau: Optional[GroupEndomorphism],
     f: GroupFunction,
     g: GroupFunction,
+    *_: object,
 ) -> Optional[float]:
-    """ratio = ||transform(f, g)|| / (||f|| ||g||), or None when vacuous."""
-    den = _pair_norms(instance.theorem, instance.indices, f, g)
+    """ratio = ||transform(f, g)|| / (||f|| ||g||)."""
+    spec, idx = _THEOREMS[instance.theorem], instance.indices
+    f_exp, g_exp = spec.norms(idx)
+    den = f.lorentz_norm(*f_exp) * g.lorentz_norm(*g_exp)
     if den == 0:
         return None
-    return _transform_norm(instance.theorem, instance.indices, f, g, tau) / den
+    return spec.transform(f, g, tau).lorentz_norm(*spec.out(idx)) / den
 
 
 def _uncertainty_trial(
     instance: TheoremInstance,
-    grp: FiniteAbelianGroup,
+    tau: Optional[GroupEndomorphism],
     f: GroupFunction,
     g: GroupFunction,
     trial: int,
     sub_seed: int,
     report: VerificationReport,
 ) -> Optional[float]:
-    """chain_lhs / chain_rhs for a random region, or None when vacuous."""
+    """chain_lhs / chain_rhs for a random region."""
     rng = np.random.default_rng(sub_seed + 1)
-    n = grp.size
+    n = f.group.size
     density = rng.uniform(0.05, 1.0)
     mask = rng.random((n, n)) < density
     mask[int(rng.integers(n)), int(rng.integers(n))] = True
     idx = instance.indices
-    if instance.theorem == "t5i":
-        den = f.lorentz_norm(idx.p1, idx.u) * g.lorentz_norm(idx.p2, idx.v)
-    else:
-        den = f.lorentz_norm(conjugate(idx.p), idx.u) * g.lorentz_norm(idx.p, idx.v)
-    if den == 0:
+    f_exp, g_exp = _THEOREMS[instance.theorem].norms(idx)
+    if f.lorentz_norm(*f_exp) * g.lorentz_norm(*g_exp) == 0:
         return None
     try:
-        _, lhs, rhs, _, _ = uncertainty_check(
-            f, g, mask, idx.q, u=idx.u, v=idx.v
-        )
+        _, lhs, rhs, _, _ = uncertainty_check(f, g, mask, idx.q, u=idx.u, v=idx.v)
     except ValueError:
         return None
     ratio = lhs / rhs if rhs else math.inf
@@ -513,6 +388,183 @@ def _uncertainty_trial(
             {"trial": trial, "kind": "uncertainty-chain", "ratio": ratio}
         )
     return ratio
+
+
+def _weyl_trial(
+    instance: TheoremInstance,
+    tau: GroupEndomorphism,
+    f: GroupFunction,
+    g: GroupFunction,
+    trial: int,
+    sub_seed: int,
+    report: VerificationReport,
+) -> Optional[float]:
+    """Operator-norm sample ||K f|| / (||f|| ||phi||) plus the defining
+    duality identity <K f, g> = <phi, W_tau(f, g)>."""
+    grp = f.group
+    rng = np.random.default_rng(sub_seed + 2)
+    phi = TFArray(grp, _random_values(rng, grp.size * grp.size).reshape(grp.size, -1))
+    k = weyl_operator(phi, tau)
+    lhs = weyl_apply(k, f).inner(g)
+    rhs = tf_pairing(phi, wigner_tau(f, g, tau))
+    scale = max(abs(lhs), abs(rhs), 1e-30)
+    if abs(lhs - rhs) > TOLERANCE * scale:
+        report.violations.append(
+            {"trial": trial, "kind": "weyl-duality", "ratio": abs(lhs - rhs) / scale}
+        )
+    spec, idx = _THEOREMS[instance.theorem], instance.indices
+    f_exp, phi_exp = spec.norms(idx)
+    den = phi.lorentz_norm(*phi_exp) * f.lorentz_norm(*f_exp)
+    if den == 0:
+        return None
+    return weyl_apply(k, f).lorentz_norm(*spec.out(idx)) / den
+
+
+# -- the theorem catalogue ---------------------------------------------------------
+
+
+_Pair = Tuple[ExponentLike, ExponentLike]
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """Everything one theorem id means to the harness."""
+
+    #: index rules, checked in order; the first failure explains the refusal
+    rules: Tuple[_Rule, ...]
+    #: _ratio_trial, _uncertainty_trial or _weyl_trial
+    trial: Callable[..., Optional[float]]
+    #: (p, q) exponents of ||f|| and ||g|| (of ||f|| and ||phi|| for Weyl)
+    norms: Callable[[IndexTuple], Tuple[_Pair, _Pair]]
+    #: the numerator transform, reached through the module's names at call time
+    transform: Optional[Callable[..., TFArray]] = None
+    #: (p, q) exponents of the numerator
+    out: Optional[Callable[[IndexTuple], _Pair]] = None
+    #: needs an automorphism tau, whose modulus hypothesis no finite group meets
+    needs_tau: bool = False
+    #: assumes a nonatomic measure, which no finite group has
+    nonatomic: bool = False
+
+
+_THEOREMS: Dict[str, _Theorem] = {
+    "t1prime": _Theorem(
+        rules=_SPLIT_Q + _at_least_one("u v w") + _HOLDER,
+        trial=_ratio_trial,
+        norms=lambda i: ((i.p1, i.u), (i.p2, i.v)),
+        transform=lambda f, g, tau: stft(f, g),
+        out=lambda i: (i.q, i.w),
+    ),
+    "t1": _Theorem(
+        rules=_P_IN_WINDOW + _at_least_one("u v w", finite=True) + _YOUNG,
+        trial=_ratio_trial,
+        norms=lambda i: ((conjugate(i.p), i.u), (i.p, i.v)),
+        transform=lambda f, g, tau: stft(f, g),
+        out=lambda i: (i.q, i.w),
+    ),
+    "t2": _Theorem(
+        rules=_above(2, "q"),
+        trial=_ratio_trial,
+        norms=lambda i: ((2, 1), (2, 1)),
+        transform=lambda f, g, tau: stft(f, g),
+        out=lambda i: (i.q, 1),
+    ),
+    "t3i": _Theorem(
+        rules=_SPLIT_Q + _at_least_one("u v w") + _HOLDER,
+        trial=_ratio_trial,
+        norms=lambda i: ((i.p1, i.u), (i.p2, i.v)),
+        transform=lambda f, g, tau: wigner_tau(f, g, tau),
+        out=lambda i: (i.q, i.w),
+        needs_tau=True,
+    ),
+    "t3ii": _Theorem(
+        rules=_P_IN_WINDOW + _at_least_one("u v w", finite=True) + _YOUNG,
+        trial=_ratio_trial,
+        norms=lambda i: ((conjugate(i.p), i.u), (i.p, i.v)),
+        transform=lambda f, g, tau: wigner_tau(f, g, tau),
+        out=lambda i: (i.q, i.w),
+        needs_tau=True,
+    ),
+    "t3iii": _Theorem(
+        rules=_above(2, "p") + _at_least_one("u v w") + _YOUNG,
+        trial=_ratio_trial,
+        norms=lambda i: ((i.p, i.u), (conjugate(i.p), i.v)),
+        transform=lambda f, g, tau: rihaczek(f, g),
+        out=lambda i: (i.p, i.w),
+    ),
+    "t3iv": _Theorem(
+        rules=_above(2, "p") + _at_least_one("u v w") + _YOUNG,
+        trial=_ratio_trial,
+        norms=lambda i: ((conjugate(i.p), i.u), (i.p, i.v)),
+        transform=lambda f, g, tau: conjugate_rihaczek(f, g),
+        out=lambda i: (i.p, i.w),
+    ),
+    "t4dual": _Theorem(
+        rules=_P_IN_WINDOW + _above(1, "w u") + _at_least_one("v", finite=True) + _YOUNG,
+        trial=_weyl_trial,
+        norms=lambda i: ((i.p, i.v), (conjugate(i.q), conjugate(i.w))),
+        out=lambda i: (i.p, conjugate(i.u)),
+        needs_tau=True,
+        nonatomic=True,
+    ),
+    "t5i": _Theorem(
+        rules=_SPLIT_Q + _at_least_one("u v") + _need(
+            lambda i: recip(i.u) + recip(i.v) <= 1, "need 1/u + 1/v <= 1"
+        ),
+        trial=_uncertainty_trial,
+        norms=lambda i: ((i.p1, i.u), (i.p2, i.v)),
+    ),
+    "t5ii": _Theorem(
+        rules=_P_IN_WINDOW + _at_least_one("u v", finite=True) + _need(
+            lambda i: recip(i.u) + recip(i.v) > 1, "need 1/u + 1/v > 1"
+        ),
+        trial=_uncertainty_trial,
+        norms=lambda i: ((conjugate(i.p), i.u), (i.p, i.v)),
+    ),
+}
+
+THEOREMS = tuple(_THEOREMS)
+
+
+def check_admissibility(instance: TheoremInstance) -> Tuple[bool, str]:
+    """Whether the instance satisfies its inequality's index hypotheses.
+
+    The explanation names the first violated constraint; automorphism
+    hypotheses on tau are checked against the group.
+    """
+    spec = _THEOREMS[instance.theorem]
+    for rule in spec.rules:
+        why = rule(instance.indices)
+        if why:
+            return False, why
+    if spec.needs_tau:
+        if instance.tau is None:
+            return False, "tau (an automorphism matrix) is required"
+        grp = FiniteAbelianGroup(instance.group)
+        endo = GroupEndomorphism(grp, instance.tau)
+        if not endo.is_automorphism:
+            return False, "tau is not an automorphism of the group"
+    return True, "admissible"
+
+
+def hypothesis_gaps(instance: TheoremInstance) -> List[str]:
+    """Hypotheses of the source inequality that no finite group satisfies.
+
+    These do not block a run; they are attached to every report so that
+    empirical ratios are not mistaken for a verified theorem conclusion.
+    """
+    spec = _THEOREMS[instance.theorem]
+    gaps = []
+    if spec.needs_tau:
+        gaps.append(
+            "tau-modulus hypothesis unattainable: every automorphism of a"
+            " finite group has modulus exactly 1, never in (0, 1)"
+        )
+    if spec.nonatomic:
+        gaps.append(
+            "nonatomicity hypothesis unattainable: counting-type Haar"
+            " measures on finite groups are purely atomic"
+        )
+    return gaps
 
 
 def verify_theorem(instance: TheoremInstance) -> VerificationReport:
@@ -533,6 +585,7 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
     report = VerificationReport(
         instance=instance, hypothesis_gaps=hypothesis_gaps(instance)
     )
+    trial_of = _THEOREMS[instance.theorem].trial
     ratios = []
     spent = dict.fromkeys(report.timings_ms, 0.0)
     clock = time.perf_counter
@@ -549,12 +602,7 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
         }
         printed = clock()
         spent["fingerprint"] += printed - sampled
-        if instance.theorem in ("t5i", "t5ii"):
-            ratio = _uncertainty_trial(instance, grp, f, g, i, sub_seed, report)
-        elif instance.theorem == "t4dual":
-            ratio = _weyl_trial(instance, grp, tau, f, g, i, sub_seed, report)
-        else:
-            ratio = _ratio_trial(instance, grp, tau, f, g)
+        ratio = trial_of(instance, tau, f, g, i, sub_seed, report)
         mark = clock()
         spent["trial"] += mark - printed
         if ratio is None:
@@ -573,38 +621,6 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
     report.timings_ms = {stage: t * 1e3 for stage, t in spent.items()}
     report.runtime_ms = (clock() - started) * 1e3
     return report
-
-
-def _weyl_trial(
-    instance: TheoremInstance,
-    grp: FiniteAbelianGroup,
-    tau: GroupEndomorphism,
-    f: GroupFunction,
-    g: GroupFunction,
-    trial: int,
-    sub_seed: int,
-    report: VerificationReport,
-) -> Optional[float]:
-    """Operator-norm sample ||K f|| / (||phi|| ||f||) plus the defining
-    duality identity <K f, g> = <phi, W_tau(f, g)>."""
-    idx = instance.indices
-    rng = np.random.default_rng(sub_seed + 2)
-    phi = TFArray(grp, _random_values(rng, grp.size * grp.size).reshape(grp.size, -1))
-    k = weyl_operator(phi, tau)
-    lhs = weyl_apply(k, f).inner(g)
-    rhs = tf_pairing(phi, wigner_tau(f, g, tau))
-    scale = max(abs(lhs), abs(rhs), 1e-30)
-    if abs(lhs - rhs) > TOLERANCE * scale:
-        report.violations.append(
-            {"trial": trial, "kind": "weyl-duality", "ratio": abs(lhs - rhs) / scale}
-        )
-    den = phi.lorentz_norm(conjugate(idx.q), conjugate(idx.w)) * f.lorentz_norm(
-        idx.p, idx.v
-    )
-    if den == 0:
-        return None
-    out = weyl_apply(k, f).lorentz_norm(idx.p, conjugate(idx.u))
-    return out / den
 
 
 # -- restricted weak type ---------------------------------------------------------
@@ -800,7 +816,7 @@ def extremizer_search(
     ok, why = check_admissibility(instance)
     if not ok:
         raise ValueError(f"inadmissible instance: {why}")
-    if instance.theorem in ("t4dual", "t5i", "t5ii"):
+    if _THEOREMS[instance.theorem].trial is not _ratio_trial:
         raise ValueError(
             f"extremizer search targets bilinear ratio instances, not"
             f" {instance.theorem}"
@@ -811,9 +827,8 @@ def extremizer_search(
     )
 
     def ratio_of(fv: np.ndarray, gv: np.ndarray) -> float:
-        maybe = _ratio_trial(
-            instance, grp, tau, GroupFunction(grp, fv), GroupFunction(grp, gv)
-        )
+        f, g = GroupFunction(grp, fv), GroupFunction(grp, gv)
+        maybe = _ratio_trial(instance, tau, f, g)
         return 0.0 if maybe is None else maybe
 
     best = (0.0, None, None)

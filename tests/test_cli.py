@@ -285,6 +285,15 @@ def test_verify_rejects_tolerance_flag(capsys) -> None:
     assert args.tolerance == 1e-9
 
 
+def test_verify_rejects_inert_index_flags(capsys) -> None:
+    # no theorem reads an s or an r slot, so neither flag exists
+    for flag in ("--s", "--r"):
+        code, _ = run(capsys, "verify", "--theorem", "t1", "--group", "6", "--q", "4",
+                      "--p", "3", "--u", "1", "--v", "1", "--w", "1", "--trials", "2",
+                      flag, "7")
+        assert code == 2
+
+
 def test_missing_input_file_is_usage_error(workdir) -> None:
     assert main(["norm", "--group", "6", "--input", str(workdir / "nope.json"),
                  "--p", "2", "--q", "1"]) == 2

@@ -1,0 +1,100 @@
+"""Closed-form equality cases of the STFT inequalities.
+
+For f = g = 1_H with H a subgroup, |V_g f| equals mu(H) on H x H^perp and
+vanishes elsewhere, and H x H^perp has measure 1 in G x G^ (the uncertainty
+principle of Donoho & Stark, SIAM J. Appl. Math. 1989, and Meshulam,
+Eur. J. Combin. 2006, is an equality exactly for such indicators).  With
+||1_E||_{p,q} = (p/q)^{1/q} mu(E)^{1/p}, the ratio of each STFT theorem has
+a closed form, which pins the theorem catalogue's exponent wiring from
+outside.  Time-frequency shifts of f and g move V_g f without changing
+|V_g f|'s distribution, so they keep the ratio.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from tflab import (
+    FiniteAbelianGroup,
+    GroupFunction,
+    IndexTuple,
+    TheoremInstance,
+    tf_shift,
+)
+import tflab.verify as verify_mod
+
+#: (orders, steps): H = step_1 Z_{n_1} x ... as a strided slice of the group
+SUBGROUPS = [((12,), (step,)) for step in (6, 4, 3, 2)] + [
+    ((4, 6), steps) for steps in itertools.product((1, 2, 4), (1, 2, 3, 6))
+]
+
+
+def _t1(q, p, u, v, w):
+    pc = p / (p - 1)
+    return (q / w) ** (1 / w) / ((pc / u) ** (1 / u) * (p / v) ** (1 / v))
+
+
+def _t1prime(mu, q, p1, p2, u, v, w):
+    den = (p1 / u) ** (1 / u) * (p2 / v) ** (1 / v)
+    return mu ** (1 / q) * (q / w) ** (1 / w) / den
+
+
+#: (theorem, indices, closed form of the ratio at mu = mu(H))
+CASES = [
+    ("t2", dict(q=3), lambda mu: 3 / 4),
+    ("t2", dict(q=4), lambda mu: 4 / 4),
+    ("t1", dict(q=4, p=3, u=1, v=1, w=1), lambda mu: _t1(4, 3, 1, 1, 1)),
+    ("t1", dict(q=4, p=3, u=1, v=2, w=2), lambda mu: _t1(4, 3, 1, 2, 2)),
+    (
+        "t1prime",
+        dict(q=4, p1="8/3", p2="8/3", u=2, v=2, w=1),
+        lambda mu: _t1prime(mu, 4, 8 / 3, 8 / 3, 2, 2, 1),
+    ),
+    (
+        "t1prime",
+        dict(q=4, p1=2, p2=4, u=1, v=2, w=1),
+        lambda mu: _t1prime(mu, 4, 2, 4, 1, 2, 1),
+    ),
+]
+
+
+def _ratio(theorem: str, indices: dict, f: GroupFunction, g: GroupFunction) -> float:
+    inst = TheoremInstance(theorem, f.group.orders, IndexTuple.of(**indices))
+    return verify_mod._ratio_trial(inst, None, f, g)
+
+
+def _indicator(grp: FiniteAbelianGroup, steps) -> GroupFunction:
+    values = np.zeros(grp.orders, dtype=np.complex128)
+    values[tuple(slice(None, None, step) for step in steps)] = 1.0
+    return GroupFunction(grp, values.reshape(-1))
+
+
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("weight", [0.5, 2.0])
+@pytest.mark.parametrize("orders, steps", SUBGROUPS)
+def test_subgroup_indicators_attain_closed_forms(orders, steps, weight, shifted) -> None:
+    grp = FiniteAbelianGroup(orders, haar_weight=weight)
+    f = g = _indicator(grp, steps)
+    if shifted:
+        f, g = tf_shift(f, 1, 2), tf_shift(g, 3, 5)
+    mu = grp.measure(math.prod(n // step for n, step in zip(orders, steps)))
+    for theorem, indices, closed_form in CASES:
+        assert _ratio(theorem, indices, f, g) == pytest.approx(
+            closed_form(mu), rel=1e-12
+        ), (theorem, indices)
+
+
+def test_non_subgroup_indicator_misses_closed_forms() -> None:
+    # {0, 1} is not a subgroup of Z_7: |V_g f| is not flat on its support
+    grp = FiniteAbelianGroup([7])
+    values = np.zeros(7, dtype=np.complex128)
+    values[[0, 1]] = 1.0
+    f = GroupFunction(grp, values)
+    mu = grp.measure(2)
+    for theorem, indices, closed_form in (CASES[1], CASES[5]):
+        ratio = _ratio(theorem, indices, f, f)
+        assert abs(ratio / closed_form(mu) - 1) > 1e-3, (theorem, ratio)

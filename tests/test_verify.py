@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,22 +13,26 @@ from tflab import (
     ETA_SEPARABLE,
     ETA_SQRT_MIN,
     FiniteAbelianGroup,
+    GroupEndomorphism,
     GroupFunction,
     IndexTuple,
     TheoremInstance,
     calderon_apply,
     check_admissibility,
     compute_baselines,
+    conjugate_rihaczek,
     extremizer_search,
     hypothesis_gaps,
     majorization_check,
     rearrangement,
     restricted_weak_type_check,
+    rihaczek,
     sample_functions,
     stft,
     uncertainty_check,
     verify_theorem,
     weyl_norm_sample,
+    wigner_tau,
 )
 from tflab.serialize import canonical_json, drop_keys, fingerprint
 import tflab.verify as verify_mod
@@ -239,6 +244,67 @@ def test_verify_t5_uncertainty_trials_hold() -> None:
     data = report.to_json()
     assert data["violations"] == []
     assert all(row["ratio"] <= 1 + 1e-9 for row in data["trials"])
+
+
+# Indices with u != v and p1 != p2, so that a swapped exponent slot changes the
+# ratio; each ratio is written out with its norms' exponents as numbers.
+PIN_SPLIT = dict(q=4, p1=2, p2=4, u=1, v=2, w=1)
+PIN_WINDOW = dict(q=4, p=3, u=1, v=2, w=2)
+PIN_P = dict(p=3, u=1, v=2, w=2)
+P_CONJ = Fraction(3, 2)
+PINNED = [
+    ("t1prime", (6,), None, PIN_SPLIT,
+     lambda f, g, tau: stft(f, g).lorentz_norm(4, 1)
+     / (f.lorentz_norm(2, 1) * g.lorentz_norm(4, 2))),
+    ("t3i", (5, 5), ((2, 0), (0, 3)), PIN_SPLIT,
+     lambda f, g, tau: wigner_tau(f, g, tau).lorentz_norm(4, 1)
+     / (f.lorentz_norm(2, 1) * g.lorentz_norm(4, 2))),
+    ("t1", (6,), None, PIN_WINDOW,
+     lambda f, g, tau: stft(f, g).lorentz_norm(4, 2)
+     / (f.lorentz_norm(P_CONJ, 1) * g.lorentz_norm(3, 2))),
+    ("t3ii", (9,), ((2,),), PIN_WINDOW,
+     lambda f, g, tau: wigner_tau(f, g, tau).lorentz_norm(4, 2)
+     / (f.lorentz_norm(P_CONJ, 1) * g.lorentz_norm(3, 2))),
+    ("t2", (6,), None, dict(q=3),
+     lambda f, g, tau: stft(f, g).lorentz_norm(3, 1)
+     / (f.lorentz_norm(2, 1) * g.lorentz_norm(2, 1))),
+    ("t3iii", (6,), None, PIN_P,
+     lambda f, g, tau: rihaczek(f, g).lorentz_norm(3, 2)
+     / (f.lorentz_norm(3, 1) * g.lorentz_norm(P_CONJ, 2))),
+    ("t3iv", (6,), None, PIN_P,
+     lambda f, g, tau: conjugate_rihaczek(f, g).lorentz_norm(3, 2)
+     / (f.lorentz_norm(P_CONJ, 1) * g.lorentz_norm(3, 2))),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem, group, tau, indices, ratio", PINNED, ids=[row[0] for row in PINNED]
+)
+def test_ratio_exponents_pinned(theorem, group, tau, indices, ratio) -> None:
+    report = verify_theorem(make(theorem, group=group, tau=tau, trials=8, **indices))
+    assert report.skipped == 0
+    grp = FiniteAbelianGroup(group)
+    endo = None if tau is None else GroupEndomorphism(grp, tau)
+    for i, row in enumerate(report.trials):
+        f, g = sample_functions(row["kind"], grp, 42 ^ i)
+        assert row["ratio"] == ratio(f, g, endo), (theorem, i)
+
+
+def test_transforms_are_looked_up_at_call_time(monkeypatch) -> None:
+    # the catalogue must reach stft and wigner_tau through the module's names,
+    # which the benchmark's tracer replaces with wrappers
+    calls = []
+    for name in ("stft", "wigner_tau"):
+
+        def counting(*args, _real=getattr(verify_mod, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(verify_mod, name, counting)
+    t1 = verify_theorem(make("t1", trials=6, **T1))
+    t3ii = verify_theorem(make("t3ii", group=(9,), tau=((2,),), trials=5, **T1))
+    assert t1.skipped == t3ii.skipped == 0
+    assert calls == ["stft"] * 6 + ["wigner_tau"] * 5
 
 
 # -- restricted weak type -------------------------------------------------------------
