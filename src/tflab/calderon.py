@@ -121,42 +121,6 @@ class EtaSet:
         )
 
 
-def _lower_envelope(
-    lines: Sequence[Tuple[float, float, int]]
-) -> List[Tuple[float, float, int]]:
-    """Bands (lo, hi, tag) of the pointwise minimum of affine lines."""
-    # drop parallel lines that are dominated everywhere
-    best: dict = {}
-    for slope, icpt, tag in lines:
-        if slope not in best or icpt < best[slope][0]:
-            best[slope] = (icpt, tag)
-    reduced = [(slope, icpt, tag) for slope, (icpt, tag) in best.items()]
-    crossings = []
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            s1, b1, _ = reduced[i]
-            s2, b2, _ = reduced[j]
-            if s1 != s2:
-                crossings.append((b2 - b1) / (s1 - s2))
-    xs = sorted(set(crossings))
-    probes = (
-        [xs[0] - 1.0]
-        + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-        + [xs[-1] + 1.0]
-        if xs
-        else [0.0]
-    )
-    edges = [_NEG_INF] + xs + [math.inf]
-    bands: List[Tuple[float, float, int]] = []
-    for lo, hi, x in zip(edges, edges[1:], probes):
-        tag = min(reduced, key=lambda ln: ln[0] * x + ln[1])[2]
-        if bands and bands[-1][2] == tag:
-            bands[-1] = (bands[-1][0], hi, tag)
-        else:
-            bands.append((lo, hi, tag))
-    return bands
-
-
 #: Kernel min{sqrt(rs/t), r, s}.
 ETA_SQRT_MIN = EtaSet([("1/2", "1/2", "1/2"), (1, 0, 0), (0, 1, 0)])
 
@@ -262,21 +226,6 @@ def young_check(
 
 
 # -- exact exponential-polynomial integrals -----------------------------------
-
-
-def _exp_integral(gamma: float, lo: float, hi: float) -> float:
-    """integral of e^{gamma * x} dx over (lo, hi); lo may be -inf."""
-    if math.isinf(hi):
-        raise ValueError("upper endpoint must be finite")
-    if lo == _NEG_INF:
-        if gamma <= 0:
-            return math.inf
-        return math.exp(gamma * hi) / gamma
-    if hi <= lo:
-        return 0.0
-    if gamma == 0:
-        return hi - lo
-    return (math.exp(gamma * hi) - math.exp(gamma * lo)) / gamma
 
 
 def _exp_poly_integral(
@@ -557,17 +506,6 @@ def hardy_check(
 # -- Calderon operators ---------------------------------------------------------
 
 
-def _log_pieces(sf: StepFunction) -> List[Tuple[float, float, float]]:
-    """(log lo, log hi, value) of the pieces with a positive value; log 0 = -inf."""
-    keep = sf.values > 0
-    return [
-        (math.log(lo) if lo > 0 else _NEG_INF, math.log(hi), v)
-        for lo, hi, v in zip(
-            sf.lows[keep].tolist(), sf.breaks[keep].tolist(), sf.values[keep].tolist()
-        )
-    ]
-
-
 def _exp_antiderivative(
     base: np.ndarray, gamma: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
@@ -581,6 +519,29 @@ def _exp_antiderivative(
     out *= np.where(flat, x, 1 / np.where(flat, 1.0, gamma))
     out *= finite
     return out
+
+
+def _branch_intervals(
+    slopes: np.ndarray, intercepts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), the interval of x on which line k, slopes[k] x +
+    intercepts[..., k], is the lowest of the lines on the last axis; the
+    interval is empty where lo >= hi.
+
+    Line k is below line j for x under (d_j - d_k) / (b_k - b_j) when
+    b_k > b_j and over it when b_k < b_j (b the slopes, d the intercepts);
+    of two parallel lines the lower wins everywhere, the lower index on a
+    tie.
+    """
+    db = slopes[:, None] - slopes[None, :]
+    dd = intercepts[..., None, :] - intercepts[..., :, None]
+    cross = dd / np.where(db == 0, 1.0, db)
+    lo = np.where(db < 0, cross, _NEG_INF).max(axis=-1)
+    hi = np.where(db > 0, cross, math.inf).min(axis=-1)
+    k = np.arange(slopes.size)
+    beaten = (db == 0) & ((dd < 0) | ((dd == 0) & (k < k[:, None])))
+    hi[beaten.any(axis=-1)] = _NEG_INF
+    return lo, hi
 
 
 def _calderon_corners(
@@ -604,39 +565,30 @@ def _calderon_corners(
     weight = np.multiply.outer(df, dg)
     f_at_0, g_at_0 = (len(sf) > 0 and sf.values[0] > 0 for sf in (fstar, gstar))
     f_live, g_live = (bool(np.any(sf.values > 0)) for sf in (fstar, gstar))
-    db = b[:, None] - b[None, :]
-    k = np.arange(b.size)
     # axes: (t, branch, f* corner, g* corner)
     a4, b4 = a[None, :, None, None], b[None, :, None, None]
     split = (q[None, :] - p[:, None])[None, None]
     out = np.empty(ts.size)
     for start in range(0, ts.size, _T_BLOCK):
         log_t = np.log(ts[start:start + _T_BLOCK])
-        # branch k is below branch j for e under (c_k - c_j) log t / (b_k - b_j)
-        # when b_k > b_j and over it when b_k < b_j; of two parallel branches
-        # the larger c log t wins everywhere, the lower index on a tie (t = 1)
-        ct = np.multiply.outer(log_t, c)
-        dct = ct[:, :, None] - ct[:, None, :]
-        cross = dct / np.where(db == 0, 1.0, db)
-        lo = np.where(db < 0, cross, _NEG_INF).max(axis=2)
-        hi = np.where(db > 0, cross, math.inf).min(axis=2)
-        beaten = (db == 0) & ((dct < 0) | ((dct == 0) & (k < k[:, None])))
-        hi[beaten.any(axis=2)] = _NEG_INF
+        # branch k is the line b_k e + d_k in e, with d_k = -c_k log t
+        icpt = np.multiply.outer(log_t, -c)
+        lo, hi = _branch_intervals(b, icpt)
         if m == 0:
             # every a_k = b_k = 0: the kernel is a constant in r and s
-            h = np.exp(-ct.max(axis=1))[:, None, None] * np.multiply.outer(p, q)
+            h = np.exp(icpt.min(axis=1))[:, None, None] * np.multiply.outer(p, q)
         else:
             lo4, hi4 = lo[:, :, None, None], hi[:, :, None, None]
             # the (t, branch, corner, corner) arrays are updated in place,
             # since they set the peak memory
             # e < Q - P: rho runs up to P
-            base = m * p[:, None] - ct[:, :, None, None]
+            base = m * p[:, None] + icpt[:, :, None, None]
             edge = np.minimum(hi4, split)
             h = _exp_antiderivative(base, b4, edge)
             h -= _exp_antiderivative(base, b4, lo4)
             h[edge <= lo4] = 0.0
             # e > Q - P: rho runs up to Q - e
-            base = m * q[None, :] - ct[:, :, None, None]
+            base = m * q[None, :] + icpt[:, :, None, None]
             edge = np.maximum(lo4, split, out=edge)
             above = _exp_antiderivative(base, -a4, edge)
             np.subtract(_exp_antiderivative(base, -a4, hi4), above, out=above)
@@ -669,33 +621,36 @@ def _calderon_quadrature(
     crossings hitting piece edges or each other), leaving analytic pieces.
     """
     log_t = math.log(t)
-    fp, gp = _log_pieces(fstar), _log_pieces(gstar)
-    if not fp or not gp:
+    fk, gk = fstar.values > 0, gstar.values > 0
+    if not fk.any() or not gk.any():
         return 0.0
+    # (log lo, log hi, value) of the positive pieces, raised to the floor below
+    with np.errstate(divide="ignore"):
+        (f_lo, f_hi), (g_lo, g_hi) = (
+            (np.log(sf.lows[keep]), np.log(sf.breaks[keep]))
+            for sf, keep in ((fstar, fk), (gstar, gk))
+        )
+    f_val, g_val = fstar.values[fk], gstar.values[gk]
     min_break = min(float(fstar.breaks[0]), float(gstar.breaks[0]))
-    lines = [(float(a), float(b), float(c)) for a, b, c in eta.triples]
+    a, b, c = eta._abc.T
+    lines = eta._abc.tolist()
 
     def total_at(floor: float) -> float:
-        s_edges = sorted(
-            {max(s0, floor) for s0, _, _ in gp} | {s1 for _, s1, _ in gp}
-        )
+        s_lo = np.maximum(g_lo, floor)
+        s_edges = set(s_lo.tolist()) | set(g_hi.tolist())
 
-        def inner(rho: float) -> float:
-            cands = [
-                (b, a * rho - c * log_t, i) for i, (a, b, c) in enumerate(lines)
-            ]
-            bands = _lower_envelope(cands)
-            val = 0.0
-            for s0, s1, gv in gp:
-                s0 = max(s0, floor)
-                for lo, hi, idx in bands:
-                    aa, bb = max(lo, s0), min(hi, s1)
-                    if bb > aa:
-                        a_k, b_k, c_k = lines[idx]
-                        val += gv * _exp_integral(b_k, aa, bb) * math.exp(
-                            a_k * rho - c_k * log_t
-                        )
-            return val
+        def inner(rho: np.ndarray) -> np.ndarray:
+            # axes: (rho node, branch, g* piece); at fixed rho branch k is
+            # e^{a_k rho - c_k log t} e^{b_k sigma}, integrated in sigma over
+            # its interval within the piece
+            icpt = np.multiply.outer(rho, a) - c * log_t
+            lo, hi = _branch_intervals(b, icpt)
+            upper = np.minimum(hi[:, :, None], g_hi)
+            lower = np.minimum(np.maximum(lo[:, :, None], s_lo), upper)
+            base, gamma = icpt[:, :, None], b[:, None]
+            part = _exp_antiderivative(base, gamma, upper)
+            part -= _exp_antiderivative(base, gamma, lower)
+            return (part * g_val).sum(axis=(1, 2))
 
         # sigma-crossings sigma*_{ij}(rho) are affine in rho; the envelope
         # pattern changes only where one hits a sigma edge or another crossing
@@ -722,14 +677,14 @@ def _calderon_quadrature(
                 if s1_ != s2_:
                     kinks.add((i2 - i1) / (s1_ - s2_))
 
-        fn = lambda xs: np.array([inner(float(x)) for x in xs])
         total = 0.0
-        for p0, p1, fv in fp:
-            p0 = max(p0, floor)
+        for p0, p1, fv in zip(
+            np.maximum(f_lo, floor).tolist(), f_hi.tolist(), f_val.tolist()
+        ):
             edges = [p0] + sorted(k for k in kinks if p0 < k < p1) + [p1]
             for x0, x1 in zip(edges, edges[1:]):
                 if x1 > x0:
-                    total += fv * _adaptive_gauss(fn, x0, x1, rtol=1e-10)
+                    total += fv * _adaptive_gauss(inner, x0, x1, rtol=1e-10)
         return total
 
     floor = math.log(1e-6 * min_break)

@@ -8,7 +8,7 @@ library assembles it with.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from tflab import (
     tf_shift,
     wigner_tau,
 )
-from tflab.calderon import _NEG_INF, _exp_integral, _log_pieces, _lower_envelope
+from tflab.calderon import _NEG_INF
 
 
 def stft_via_inner_products(f: GroupFunction, g: GroupFunction) -> TFArray:
@@ -97,6 +97,68 @@ def mult_convolution_oracle(f: StepFunction, g: StepFunction, x: float) -> float
 
 
 # -- the Calderon operator, one (f*-piece, g*-piece, band) rectangle at a time --
+
+
+def _lower_envelope(
+    lines: Sequence[Tuple[float, float, int]]
+) -> List[Tuple[float, float, int]]:
+    """Bands (lo, hi, tag) of the pointwise minimum of affine lines."""
+    # drop parallel lines that are dominated everywhere
+    best: dict = {}
+    for slope, icpt, tag in lines:
+        if slope not in best or icpt < best[slope][0]:
+            best[slope] = (icpt, tag)
+    reduced = [(slope, icpt, tag) for slope, (icpt, tag) in best.items()]
+    crossings = []
+    for i in range(len(reduced)):
+        for j in range(i + 1, len(reduced)):
+            s1, b1, _ = reduced[i]
+            s2, b2, _ = reduced[j]
+            if s1 != s2:
+                crossings.append((b2 - b1) / (s1 - s2))
+    xs = sorted(set(crossings))
+    probes = (
+        [xs[0] - 1.0]
+        + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        + [xs[-1] + 1.0]
+        if xs
+        else [0.0]
+    )
+    edges = [_NEG_INF] + xs + [math.inf]
+    bands: List[Tuple[float, float, int]] = []
+    for lo, hi, x in zip(edges, edges[1:], probes):
+        tag = min(reduced, key=lambda ln: ln[0] * x + ln[1])[2]
+        if bands and bands[-1][2] == tag:
+            bands[-1] = (bands[-1][0], hi, tag)
+        else:
+            bands.append((lo, hi, tag))
+    return bands
+
+
+def _log_pieces(sf: StepFunction) -> List[Tuple[float, float, float]]:
+    """(log lo, log hi, value) of the pieces with a positive value; log 0 = -inf."""
+    keep = sf.values > 0
+    return [
+        (math.log(lo) if lo > 0 else _NEG_INF, math.log(hi), v)
+        for lo, hi, v in zip(
+            sf.lows[keep].tolist(), sf.breaks[keep].tolist(), sf.values[keep].tolist()
+        )
+    ]
+
+
+def _exp_integral(gamma: float, lo: float, hi: float) -> float:
+    """integral of e^{gamma * x} dx over (lo, hi); lo may be -inf."""
+    if math.isinf(hi):
+        raise ValueError("upper endpoint must be finite")
+    if lo == _NEG_INF:
+        if gamma <= 0:
+            return math.inf
+        return math.exp(gamma * hi) / gamma
+    if hi <= lo:
+        return 0.0
+    if gamma == 0:
+        return hi - lo
+    return (math.exp(gamma * hi) - math.exp(gamma * lo)) / gamma
 
 
 def eta_bands(eta: EtaSet, log_t: float) -> List[Tuple[float, float, int]]:

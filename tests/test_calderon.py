@@ -321,6 +321,39 @@ def test_calderon_quadrature_matches_exact() -> None:
             assert b == pytest.approx(a, rel=1e-6)
 
 
+#: min(r, sqrt(s)): a_k + b_k differs between the branches, so no band form
+ETA_R_SQRT_S = EtaSet([(1, 0, 0), (0, "1/2", 0)])
+
+
+def r_sqrt_s_indicators(b: float, c: float) -> float:
+    """S(1_(0,b], 1_(0,c]) for min(r, sqrt(s)), integrated by hand in logs."""
+    if c <= b * b:
+        return 2 * math.sqrt(c) * (2 + math.log(b / math.sqrt(c)))
+    return 4 * b + b * math.log(c / b**2)
+
+
+def test_quadrature_on_kernel_without_band_form() -> None:
+    assert not ETA_R_SQRT_S.is_band_decomposable
+    for b, c in ((1.0, 2.0), (2.0, 1.0), (3.0, 0.5), (0.5, 0.2)):
+        f, g = StepFunction([b], [1.0]), StepFunction([c], [1.0])
+        for t in (0.5, 3.0):
+            got = calderon_apply(ETA_R_SQRT_S, f, g, t)
+            assert got == pytest.approx(r_sqrt_s_indicators(b, c), rel=1e-8)
+    # bilinear in the jumps: f* = sum_i df_i 1_(0, b_i]
+    f = StepFunction([0.5, 1.0, 3.0], [4.0, 2.0, 1.0], monotone=True)
+    g = StepFunction([0.2, 0.7, 2.5], [3.0, 1.5, 0.5], monotone=True)
+    want = sum(
+        df * dg * r_sqrt_s_indicators(b, c)
+        for b, df in zip(f.breaks, f.jumps)
+        for c, dg in zip(g.breaks, g.jumps)
+    )
+    np.testing.assert_allclose(
+        calderon_apply(ETA_R_SQRT_S, f, g, np.array([0.5, 3.0])), want, rtol=1e-8
+    )
+    with pytest.raises(ValueError, match="band-decomposable"):
+        calderon_apply(ETA_R_SQRT_S, f, g, 1.0, method="exact")
+
+
 def test_calderon_rejects_bad_method_and_t() -> None:
     one = StepFunction([1.0], [1.0])
     with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import pytest
 
 from tflab import (
     ETA_SQRT_MIN,
+    EtaSet,
     FiniteAbelianGroup,
     GroupFunction,
     StepFunction,
@@ -135,6 +136,23 @@ def test_calderon_point_values(capsys, workdir) -> None:
     assert [entry["value"] for entry in data["values"]] == [
         calderon_apply(ETA_SQRT_MIN, sf, sf, t) for t in ts
     ]
+
+
+def test_calderon_custom_eta_without_band_form(capsys, workdir) -> None:
+    # min(r, sqrt(s)) has no band form, so it goes through the quadrature
+    code, out = run(
+        capsys, "calderon", "--f", str(workdir / "step.json"),
+        "--g", str(workdir / "step.json"), "--eta", "custom",
+        "--eta-triples", "1,0,0;0,1/2,0", "--t", "0.5", "--t", "3",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["eta"] == [["1", "0", "0"], ["0", "1/2", "0"]]
+    sf = StepFunction([1.0, 2.0], [2.0, 1.0], monotone=True)
+    eta = EtaSet([(1, 0, 0), (0, "1/2", 0)])
+    assert [entry["value"] for entry in data["values"]] == calderon_apply(
+        eta, sf, sf, np.array([0.5, 3.0])
+    ).tolist()
 
 
 def test_calderon_requires_t_or_functional(workdir) -> None:
