@@ -104,17 +104,37 @@ class FiniteAbelianGroup:
     def measure(self, n_atoms: int) -> float:
         return self.haar_weight * n_atoms
 
-    # -- cached arithmetic tables ------------------------------------------
+    # -- translates and cached arithmetic tables ----------------------------
+
+    def _translates(self, v: np.ndarray, sign: int = 1) -> np.ndarray:
+        """The (|G|, |G|) array of v(sign * x + u) at [x, u], sign = 1 or -1.
+
+        v, given in flat order, is doubled along every axis, so entry
+        c + n_m along axis m repeats entry c; v(x + u) is then a view with
+        equal strides on x and u, and v(u - x) one with the x strides
+        negated.  The view is copied out: no index table is read or built.
+        """
+        ext = v.reshape(self.orders)
+        for axis in range(self.rank):
+            ext = np.concatenate((ext, ext), axis=axis)
+        steps = ext.strides
+        offset = 0 if sign == 1 else sum(n * s for n, s in zip(self.orders, steps))
+        view = np.ndarray(
+            self.orders * 2,
+            ext.dtype,
+            ext,
+            offset,
+            tuple(sign * s for s in steps) + steps,
+        )
+        return np.ascontiguousarray(view).reshape(self.size, self.size)
 
     @cached_property
     def add_index(self) -> np.ndarray:
-        """Table a[i, j] = index(x_i + x_j), shape (|G|, |G|)."""
-        s = (self.elements[:, None, :] + self.elements[None, :, :]) % np.array(
-            self.orders
-        )
-        out = np.ravel_multi_index(
-            tuple(s[..., m] for m in range(self.rank)), self.orders
-        ).astype(np.int64)
+        """Table a[i, j] = index(x_i + x_j), shape (|G|, |G|).
+
+        Kept for callers outside the library; no transform reads it.
+        """
+        out = self._translates(np.arange(self.size, dtype=np.int64))
         out.setflags(write=False)
         return out
 
@@ -130,8 +150,10 @@ class FiniteAbelianGroup:
 
     @cached_property
     def sub_index(self) -> np.ndarray:
-        """Table s[i, j] = index(x_i - x_j)."""
-        out = self.add_index[:, self.neg_index]
+        """Table s[i, j] = index(x_i - x_j), i.e. n(x_j - x_i) with n =
+        ``neg_index``.  Kept for callers outside the library; no transform
+        reads it."""
+        out = self._translates(self.neg_index, -1)
         out.setflags(write=False)
         return out
 

@@ -7,7 +7,8 @@ module.  Three evaluation routes are provided:
 
 * :func:`lorentz_norm` sorts the atoms by magnitude and integrates with one
   piece per atom, without building f* (a run of tied magnitudes telescopes
-  to the integral over its merged piece);
+  to the integral over its merged piece); functions on a group, whose atoms
+  share one weight, sort their magnitudes alone through the same core;
 * :func:`step_halfline_functional` of :func:`rearrangement` integrates over
   the pieces of f*, one per distinct magnitude, through the same closed
   form; the Calderon layer needs f* itself;
@@ -361,15 +362,20 @@ def _pieces_functional(
     if is_inf(q):
         if ef == 0:
             return scale
-        ends = his if ef > 0 else lows
-        return scale * float(np.max(values * ends**ef))
+        ends = (his if ef > 0 else lows) ** ef
+        return scale * float(np.max(np.multiply(values, ends, out=ends)))
     qf = as_float(q)
     a = ef * qf
+    # one buffer for the pieces and one for the values, each reused in place
     if a == 0:
-        pieces = np.log(his / lows)
+        pieces = np.divide(his, lows)
+        np.log(pieces, out=pieces)
     else:
-        pieces = (his**a - lows**a) / a
-    total = float(np.sum(values**qf * pieces))
+        pieces = his**a
+        pieces -= lows**a
+        pieces /= a
+    np.power(values, qf, out=values)
+    total = float(np.sum(np.multiply(values, pieces, out=pieces)))
     if math.isinf(total):
         return math.inf
     return scale * total ** (1.0 / qf)
@@ -387,15 +393,42 @@ def lorentz_norm(f: MeasuredFunction, p: ExponentLike, q: ExponentLike) -> float
     built.  For p = inf and finite q the defining integral diverges for
     every nonzero f, so +inf is returned; L^{inf,inf} is the essential sup.
     """
+    return _lorentz_norm(np.abs(f.values), f.weights, p, q)
+
+
+_ZERO_INF = np.array([0.0, math.inf])
+
+
+def _lorentz_norm(
+    mags: np.ndarray,
+    weights: Union[float, np.ndarray],
+    p: ExponentLike,
+    q: ExponentLike,
+) -> float:
+    """:func:`lorentz_norm` of the atoms with magnitudes ``mags`` and
+    weights ``weights``, a scalar when every atom has the same weight.
+
+    With one weight the magnitudes alone are sorted, in place, so ``mags``
+    must be a buffer the caller gives up; the running sums of the weight
+    then have the same bits as those of a gathered array of equal weights.
+    Unequal weights follow the magnitudes through one unstable argsort.
+    """
     p = parse_exponent(p)
     if not is_inf(p) and p <= 0:
         raise ValueError(f"exponent p must be positive, got {p}")
-    mags = np.abs(f.values)
-    # descending; zeros and NaNs sort after every positive magnitude
-    order = np.argsort(-mags)[: np.count_nonzero(mags > 0)]
-    totals = np.cumsum(f.weights[order])
+    if np.ndim(weights) == 0:
+        mags.sort()
+        # ascending, NaNs last: the positive magnitudes, largest first
+        lo, hi = mags.searchsorted(_ZERO_INF, "right")
+        values = mags[lo:hi][::-1]
+        totals = np.broadcast_to(weights, values.shape).cumsum()
+    else:
+        # descending; zeros and NaNs sort after every positive magnitude
+        order = np.argsort(-mags)[: np.count_nonzero(mags > 0)]
+        values = mags[order]
+        totals = np.cumsum(weights[order])
     lows = np.concatenate(([0.0], totals))[:-1]
-    return _pieces_functional(lows, totals, mags[order], recip(p), q)
+    return _pieces_functional(lows, totals, values, recip(p), q)
 
 
 def lorentz_norm_via_distribution(

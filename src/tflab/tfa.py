@@ -4,11 +4,14 @@ Every character sum sum_x h(x) conj<x, xi> runs through one engine,
 ``_dft_rows``: it reshapes each row to the group's cyclic orders and takes
 one FFT per axis, so a transform of |G| rows costs O(|G|^2 log |G|) and
 needs no dense character table (the table is read only for pointwise
-phases in the Rihaczek closed forms and ``wigner_factorization_check``).  Haar
-weights are written out at each caller so that measure-scaling tests
-exercise real code paths.  ``fourier`` keeps the literal character sum as
-the reference route; the independent oracles (inner products, point-mass
-assembly) live in the tests.
+phases in the Rihaczek closed forms and ``wigner_factorization_check``).
+The translates g(y - x) and f(x + u) that ``stft``, ``wigner_tau`` and
+``weyl_operator`` gather come from ``FiniteAbelianGroup._translates``, a
+strided view of the function copied out, so no transform reads the
+|G| x |G| index tables.  Haar weights are written out at each caller so
+that measure-scaling tests exercise real code paths.  ``fourier`` keeps the
+literal character sum as the reference route; the independent oracles
+(inner products, point-mass assembly, table gathers) live in the tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .exponents import ExponentLike, as_float, conjugate, is_inf, parse_exponent
 from .groups import ElementLike, FiniteAbelianGroup, GroupEndomorphism
-from .lorentz import MeasuredFunction, lorentz_norm
+from .lorentz import MeasuredFunction, _lorentz_norm
 
 __all__ = [
     "GroupFunction",
@@ -98,7 +101,7 @@ class GroupFunction:
         )
 
     def lorentz_norm(self, p: ExponentLike, q: ExponentLike) -> float:
-        return lorentz_norm(self.to_measured(), p, q)
+        return _lorentz_norm(np.abs(self.values), self.group.haar_weight, p, q)
 
     def to_measured(self, domain: Optional[str] = None) -> MeasuredFunction:
         g = self.group
@@ -150,7 +153,7 @@ class TFArray:
         return float((self.atom_weight * np.sum(mags**qf)) ** (1.0 / qf))
 
     def lorentz_norm(self, p: ExponentLike, q: ExponentLike) -> float:
-        return lorentz_norm(self.to_measured(), p, q)
+        return _lorentz_norm(np.abs(self.values).ravel(), self.atom_weight, p, q)
 
     def to_measured(self) -> MeasuredFunction:
         g = self.group
@@ -213,9 +216,11 @@ def stft(f: GroupFunction, g: GroupFunction) -> TFArray:
     f._check_group(g)
     grp = f.group
     # H[x, y] = f(y) * conj g(y - x)
-    window = np.conj(g.values[grp.sub_index.T])  # [x, y] -> g(y - x)
-    h = f.values[None, :] * window
-    return TFArray(grp, grp.haar_weight * _dft_rows(grp, h))
+    h = grp._translates(g.values, -1)
+    np.conj(h, out=h)
+    np.multiply(f.values, h, out=h)
+    out = _dft_rows(grp, h)
+    return TFArray(grp, np.multiply(grp.haar_weight, out, out=out))
 
 
 def stft_lebesgue_bound_check(
@@ -256,13 +261,14 @@ def wigner_tau(
     grp = f.group
     if tau.group.orders != grp.orders:
         raise ValueError("endomorphism acts on a different group")
-    tau_perm = tau.permutation
-    one_minus = GroupEndomorphism.identity(tau.group) - tau
-    om_perm = one_minus.permutation
-    # A[x, y] = f(x + tau y) * conj g(x - (I - tau) y)
-    left = f.values[grp.add_index[:, tau_perm]]
-    right = np.conj(g.values[grp.sub_index[:, om_perm]])
-    return TFArray(grp, grp.haar_weight * _dft_rows(grp, left * right))
+    # A[x, y] = f(x + tau y) * conj g(x + (tau - I) y)
+    left = np.take(grp._translates(f.values), tau.permutation, axis=1)
+    tau_minus = tau - GroupEndomorphism.identity(tau.group)
+    right = np.take(grp._translates(g.values), tau_minus.permutation, axis=1)
+    np.conj(right, out=right)
+    np.multiply(left, right, out=right)
+    out = _dft_rows(grp, right)
+    return TFArray(grp, np.multiply(grp.haar_weight, out, out=out))
 
 
 def rihaczek(f: GroupFunction, g: GroupFunction) -> TFArray:
@@ -361,19 +367,25 @@ def weyl_operator(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
     The right-hand pairing is the bilinear one (tf_pairing).  Applying the
     identity to point masses f = delta_b, g = delta_a gives the closed form
     K[a, b] = (1/|G|) * sum_xi phi(b - tau(b-a), xi) conj<b-a, xi>,
-    assembled here from one FFT per row of phi and an index gather.
+    assembled here from one FFT per row of phi and one flat gather.  Since
+    b - tau(b - a) = tau a + (I - tau) b, both indices are read off
+    translates of the element indices.
     """
     grp = phi.group
     if tau.group.orders != grp.orders:
         raise ValueError("endomorphism acts on a different group")
+    n = grp.size
     # S[x, d] = sum_xi phi(x, xi) conj<d, xi>
     s = _dft_rows(grp, phi.values)
-    a_idx, b_idx = np.meshgrid(
-        np.arange(grp.size), np.arange(grp.size), indexing="ij"
-    )
-    d_idx = grp.sub_index[b_idx, a_idx]
-    x_idx = grp.sub_index[b_idx, tau.permutation[d_idx]]
-    return s[x_idx, d_idx] / grp.size
+    ids = np.arange(n, dtype=np.int64)
+    one_minus = GroupEndomorphism.identity(tau.group) - tau
+    # flat index x * n + d of (x, d) = (tau a + (I - tau) b, b - a) in S
+    flat = np.take(grp._translates(ids), tau.permutation, axis=0)
+    flat = np.take(flat, one_minus.permutation, axis=1)
+    flat *= n
+    flat += grp._translates(ids, -1)
+    k = np.take(s, flat)
+    return np.divide(k, n, out=k)
 
 
 def weyl_apply(k: np.ndarray, f: GroupFunction) -> GroupFunction:

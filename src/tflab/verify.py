@@ -32,7 +32,13 @@ from .exponents import (
     recip,
 )
 from .groups import FiniteAbelianGroup, GroupEndomorphism
-from .lorentz import MeasuredFunction, lorentz_norm, rearrangement, tensor_product
+from .lorentz import (
+    MeasuredFunction,
+    _lorentz_norm,
+    lorentz_norm,
+    rearrangement,
+    tensor_product,
+)
 from .serialize import fingerprint
 from .tfa import (
     GroupFunction,
@@ -785,10 +791,7 @@ def uncertainty_check(
 
     chain_lhs = math.sqrt(eps)
     vnorm = vgf.lorentz_norm(q, w)
-    ind = MeasuredFunction.from_values(
-        mask.reshape(-1).astype(np.complex128), weight=cell, domain="GxG^"
-    )
-    ind_norm = lorentz_norm(ind, s, r)
+    ind_norm = _lorentz_norm(mask.reshape(-1).astype(np.float64), cell, s, r)
     chain_rhs = 2 * vnorm * ind_norm
     c_sr = 1.0 if is_inf(r) else as_float(s / r) ** as_float(recip(r))
     bound = (chain_lhs / (2 * vnorm * c_sr)) ** as_float(s) if vnorm else 0.0

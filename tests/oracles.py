@@ -15,6 +15,7 @@ import numpy as np
 from tflab import (
     EtaSet,
     ExponentLike,
+    FiniteAbelianGroup,
     GroupEndomorphism,
     GroupFunction,
     MeasuredFunction,
@@ -29,6 +30,60 @@ from tflab import (
     wigner_tau,
 )
 from tflab.calderon import _NEG_INF
+from tflab.tfa import _dft_rows
+
+
+# -- index tables and the transforms that gather through them ------------------
+
+
+def add_index_oracle(grp: FiniteAbelianGroup) -> np.ndarray:
+    """index(x_i + x_j) at [i, j], from coordinates summed mod the orders."""
+    s = (grp.elements[:, None, :] + grp.elements[None, :, :]) % np.array(grp.orders)
+    return np.ravel_multi_index(
+        tuple(s[..., m] for m in range(grp.rank)), grp.orders
+    ).astype(np.int64)
+
+
+def sub_index_oracle(grp: FiniteAbelianGroup) -> np.ndarray:
+    """index(x_i - x_j) at [i, j], from coordinates subtracted mod the orders."""
+    s = (grp.elements[:, None, :] - grp.elements[None, :, :]) % np.array(grp.orders)
+    return np.ravel_multi_index(
+        tuple(s[..., m] for m in range(grp.rank)), grp.orders
+    ).astype(np.int64)
+
+
+def stft_table_gather(f: GroupFunction, g: GroupFunction) -> TFArray:
+    """``stft`` with the window g(y - x) gathered through the sub table."""
+    grp = f.group
+    window = np.conj(g.values[sub_index_oracle(grp).T])
+    h = f.values[None, :] * window
+    return TFArray(grp, grp.haar_weight * _dft_rows(grp, h))
+
+
+def wigner_tau_table_gather(
+    f: GroupFunction, g: GroupFunction, tau: GroupEndomorphism
+) -> TFArray:
+    """``wigner_tau`` with f(x + tau y) and g(x - (I - tau) y) gathered
+    through the add and sub tables, built here from coordinates."""
+    grp = f.group
+    one_minus = GroupEndomorphism.identity(tau.group) - tau
+    left = f.values[add_index_oracle(grp)[:, tau.permutation]]
+    right = np.conj(g.values[sub_index_oracle(grp)[:, one_minus.permutation]])
+    return TFArray(grp, grp.haar_weight * _dft_rows(grp, left * right))
+
+
+def weyl_operator_table_gather(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
+    """``weyl_operator`` with d = b - a and x = b - tau d looked up in the sub
+    table at every (a, b)."""
+    grp = phi.group
+    sub = sub_index_oracle(grp)
+    s = _dft_rows(grp, phi.values)
+    a_idx, b_idx = np.meshgrid(
+        np.arange(grp.size), np.arange(grp.size), indexing="ij"
+    )
+    d_idx = sub[b_idx, a_idx]
+    x_idx = sub[b_idx, tau.permutation[d_idx]]
+    return s[x_idx, d_idx] / grp.size
 
 
 def stft_via_inner_products(f: GroupFunction, g: GroupFunction) -> TFArray:

@@ -7,7 +7,8 @@ Eur. J. Combin. 2006, is an equality exactly for such indicators).  With
 ||1_E||_{p,q} = (p/q)^{1/q} mu(E)^{1/p}, the ratio of each STFT theorem has
 a closed form, which pins the theorem catalogue's exponent wiring from
 outside.  Time-frequency shifts of f and g move V_g f without changing
-|V_g f|'s distribution, so they keep the ratio.
+|V_g f|'s distribution, so they keep the ratio.  The tau-Wigner transform
+of 1_H is flat on H x H^perp as well when tau H lies in H (derived below).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import pytest
 
 from tflab import (
     FiniteAbelianGroup,
+    GroupEndomorphism,
     GroupFunction,
     IndexTuple,
     TheoremInstance,
     tf_shift,
+    wigner_tau,
 )
 import tflab.verify as verify_mod
 
@@ -62,9 +65,11 @@ CASES = [
 ]
 
 
-def _ratio(theorem: str, indices: dict, f: GroupFunction, g: GroupFunction) -> float:
+def _ratio(
+    theorem: str, indices: dict, f: GroupFunction, g: GroupFunction, tau=None
+) -> float:
     inst = TheoremInstance(theorem, f.group.orders, IndexTuple.of(**indices))
-    return verify_mod._ratio_trial(inst, None, f, g)
+    return verify_mod._ratio_trial(inst, tau, f, g)
 
 
 def _indicator(grp: FiniteAbelianGroup, steps) -> GroupFunction:
@@ -86,6 +91,33 @@ def test_subgroup_indicators_attain_closed_forms(orders, steps, weight, shifted)
         assert _ratio(theorem, indices, f, g) == pytest.approx(
             closed_form(mu), rel=1e-12
         ), (theorem, indices)
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("step", [6, 4, 3, 2])
+def test_wigner_of_subgroup_indicator_is_flat(step, weight) -> None:
+    """W_tau(1_H, 1_H)(x, xi) = w * sum_y 1_H(x + tau y) 1_H(x - (I - tau) y)
+    conj<y, xi>.  The two arguments differ by y, so both lie in H only if
+    y does; then tau y lies in H, and x + tau y does exactly when x does.
+    For x in H every y in H is admissible, so W = w |H| 1_{H^perp}(xi);
+    for x outside H none is.  Hence |W| = mu(H) on H x H^perp and 0
+    elsewhere, the distribution of |V_{1_H} 1_H|, and the t3ii ratio is
+    t1's closed form.  On Z_12 every tau = multiplication by t maps H into
+    itself."""
+    grp = FiniteAbelianGroup([12], haar_weight=weight)
+    f = _indicator(grp, (step,))
+    h = np.arange(0, 12, step)
+    mu = grp.measure(h.size)
+    perp = np.array([all(x * xi % 12 == 0 for x in h) for xi in range(12)])
+    expected = mu * np.outer(f.values.real, perp)
+    for t in (0, 1, 2, 3, 5, 7):
+        tau = GroupEndomorphism(grp, [[t]])
+        w = np.abs(wigner_tau(f, f, tau).values)
+        assert np.allclose(w, expected, rtol=1e-12, atol=1e-12 * mu), t
+        for _, indices, closed_form in CASES[2:4]:
+            assert _ratio("t3ii", indices, f, f, tau) == pytest.approx(
+                closed_form(mu), rel=1e-12
+            ), (t, indices)
 
 
 def test_non_subgroup_indicator_misses_closed_forms() -> None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import add_index_oracle, sub_index_oracle
 from tflab import (
     FiniteAbelianGroup,
     GroupEndomorphism,
@@ -70,6 +71,18 @@ def test_element_arithmetic_reduces_mod_orders() -> None:
     assert g.coords(g.add_index[i, j]) == (1, 1)
     assert g.coords(g.sub_index[i, j]) == (1, 0)
     assert g.coords(g.neg_index[i]) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "orders", [[1], [2], [7], [4, 6], [2, 3, 5], [16, 16], [4, 8, 8], [3, 1, 2]]
+)
+def test_index_tables_equal_coordinate_formula(orders) -> None:
+    g = FiniteAbelianGroup(orders)
+    for table, oracle in ((g.add_index, add_index_oracle), (g.sub_index, sub_index_oracle)):
+        expected = oracle(g)
+        assert table.dtype == expected.dtype and table.flags.c_contiguous
+        assert table.tobytes() == expected.tobytes()
+        assert not table.flags.writeable
 
 
 def test_character_identity_is_one() -> None:

@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import lorentz_norm_via_rearrangement
 from tflab import (
+    FiniteAbelianGroup,
+    GroupFunction,
     MeasuredFunction,
     StepFunction,
+    TFArray,
     distribution,
     double_star,
     embedding_check,
@@ -332,6 +335,60 @@ def tied_functions(draw) -> MeasuredFunction:
 def test_direct_sum_matches_both_oracles(f, p, q) -> None:
     a = lorentz_norm(f, p, q)
     assert a == pytest.approx(lorentz_norm_via_rearrangement(f, p, q), rel=1e-12, abs=0)
+    sup = float(np.abs(f.values).max())
+    if p == math.inf:
+        assert a == (sup if q == math.inf else math.inf if sup else 0.0)
+    else:
+        assert a == pytest.approx(lorentz_norm_via_distribution(f, p, q), rel=1e-12, abs=0)
+
+
+@st.composite
+def one_weight_functions(draw):
+    """A GroupFunction on Z_n, or a TFArray on Z_m x Z_m^, so that every atom
+    has the same weight: runs of tied magnitudes, zeros (possibly all of
+    them) and one overall scale from 1e-150 to 1e150."""
+    grp = FiniteAbelianGroup([draw(st.integers(1, 6))], draw(st.floats(0.1, 4.0)))
+    tf = draw(st.booleans())
+    n = grp.size**2 if tf else draw(st.integers(1, 30))
+    if not tf:
+        grp = FiniteAbelianGroup([n], grp.haar_weight)
+    levels = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=4))
+    mags = np.array(draw(st.lists(st.sampled_from([0.0] + levels), min_size=n, max_size=n)))
+    units = st.sampled_from([1, -1, 1j, -1j])
+    phases = np.array(draw(st.lists(units, min_size=n, max_size=n)))
+    values = 10.0 ** draw(st.integers(-150, 150)) * mags * phases
+    return TFArray(grp, values.reshape(grp.size, -1)) if tf else GroupFunction(grp, values)
+
+
+_ONE_WEIGHT_EXAMPLES = (
+    GroupFunction(FiniteAbelianGroup([5]), np.zeros(5)),
+    GroupFunction(FiniteAbelianGroup([6], 0.5), [1e150, -1e150, 1e150j, 0, 3e149, 3e149]),
+    TFArray(FiniteAbelianGroup([2], 2.0), [[1e-150, 0], [-1e-150, 2e-150j]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    one_weight_functions(),
+    st.one_of(
+        st.floats(0.2, 12.0), st.sampled_from([Fraction(1, 2), 1, 2, 3, math.inf])
+    ),
+    st.one_of(
+        st.floats(0.3, 8.0), st.sampled_from([Fraction(1, 2), 1, 2, 4, math.inf])
+    ),
+)
+@example(_ONE_WEIGHT_EXAMPLES[0], 2, 1)
+@example(_ONE_WEIGHT_EXAMPLES[0], math.inf, math.inf)
+@example(_ONE_WEIGHT_EXAMPLES[1], Fraction(1, 2), math.inf)
+@example(_ONE_WEIGHT_EXAMPLES[1], math.inf, math.inf)
+@example(_ONE_WEIGHT_EXAMPLES[1], math.inf, 2)
+@example(_ONE_WEIGHT_EXAMPLES[2], 0.3, Fraction(1, 2))
+@example(_ONE_WEIGHT_EXAMPLES[2], 4, math.inf)
+def test_one_weight_route_matches_measured_route(h, p, q) -> None:
+    # the sort of the magnitudes alone gives the bits of the atom-list route
+    a = h.lorentz_norm(p, q)
+    f = h.to_measured()
+    assert a == lorentz_norm(f, p, q)
     sup = float(np.abs(f.values).max())
     if p == math.inf:
         assert a == (sup if q == math.inf else math.inf if sup else 0.0)

@@ -29,7 +29,13 @@ from tflab import (
     wigner_tau,
 )
 
-from oracles import stft_via_inner_products, weyl_operator_pointmass
+from oracles import (
+    stft_table_gather,
+    stft_via_inner_products,
+    weyl_operator_pointmass,
+    weyl_operator_table_gather,
+    wigner_tau_table_gather,
+)
 
 
 def random_function(group: FiniteAbelianGroup, seed: int) -> GroupFunction:
@@ -325,14 +331,44 @@ def test_weyl_operator_matches_pointmass_assembly() -> None:
         assert np.max(np.abs(a - b)) < 1e-10
 
 
+#: (orders, haar weight, a diagonal tau, a non-diagonal tau)
+TRANSLATE_CASES = [
+    ([1], 1.0, [[1]], [[0]]),
+    ([2], 0.5, [[1]], [[0]]),
+    ([7], 2.0, [[3]], [[0]]),
+    ([4, 6], 1.0, [[3, 0], [0, 5]], [[1, 2], [0, 1]]),
+    ([2, 3, 5], 0.5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [[1, 2, 2], [3, 2, 3], [5, 5, 4]]),
+    ([16, 16], 1.0, [[3, 0], [0, 3]], [[1, 2], [0, 1]]),
+    ([4, 8, 8], 2.0, [[3, 0, 0], [0, 3, 0], [0, 0, 5]], [[1, 1, 0], [0, 1, 1], [2, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("orders, weight, diagonal, mixed", TRANSLATE_CASES)
+def test_transforms_equal_table_gathers(orders, weight, diagonal, mixed) -> None:
+    g = FiniteAbelianGroup(orders, haar_weight=weight)
+    f, h = random_function(g, 44), random_function(g, 45)
+    v = stft(f, h)
+    assert np.array_equal(v.values, stft_table_gather(f, h).values)
+    for mat in (diagonal, mixed):
+        tau = GroupEndomorphism(g, mat)
+        w = wigner_tau(f, h, tau).values
+        assert np.array_equal(w, wigner_tau_table_gather(f, h, tau).values), mat
+        assert np.array_equal(weyl_operator(v, tau), weyl_operator_table_gather(v, tau)), mat
+
+
 def test_transforms_leave_character_table_unbuilt() -> None:
+    # nor any other |G| x |G| table: the transforms and norms read none
     g = FiniteAbelianGroup([4, 6])
     tau = GroupEndomorphism(g, [[1, 2], [0, 1]])
     f, h = random_function(g, 42), random_function(g, 43)
-    weyl_operator(stft(f, h), tau)
+    v = stft(f, h)
+    weyl_operator(v, tau)
     wigner_tau(f, h, tau)
     tf_shift(f, (1, 5), (3, 2))
-    assert "character_table" not in g.__dict__
+    v.lorentz_norm(4, 2)
+    f.lorentz_norm(3, 1)
+    for table in ("add_index", "neg_index", "sub_index", "character_table"):
+        assert table not in g.__dict__, table
 
 
 def test_weyl_duality_random_triples() -> None:
