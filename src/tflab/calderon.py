@@ -13,15 +13,18 @@ structure decomposes into diagonal bands (which covers both canonical
 kernel sets), S_eta(f*, g*)(t) sums the kernel's integral over one corner
 of the log plane, for a whole grid of t at once.  A truncated log-grid
 quadrature covers every other kernel.
+
+Whatever is not in closed form goes through one adaptive Gauss-Legendre
+integrator, which takes all of a caller's intervals at once and evaluates
+each bisection level in one array call of the integrand.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,6 +69,19 @@ _NEG_INF = -math.inf
 #: Largest number of t values the corner-form evaluator takes at once; its
 #: temporaries hold (block, branches, f* corners, g* corners) floats.
 _T_BLOCK = 32
+
+#: Largest number of subintervals whose Gauss nodes the adaptive integrator
+#: hands its integrand at once.
+_GAUSS_ROWS = 64
+
+#: Most subinterval pairs one level of the adaptive integrator leaves live;
+#: past it the level accepts them all, which bounds memory where the
+#: integrand never settles (NaN, or rounding noise above the tolerance).
+_GAUSS_LIVE = 2**16
+
+#: Most nodes the sup form of the t-functional refines its grid to before it
+#: returns the midpoint of its bracket.
+_SUP_NODES = 40_000
 
 
 class EtaSet:
@@ -345,25 +361,29 @@ def _sup_power_affine(
 def _quad_power_affine(
     delta: float, qf: float, segments: Sequence[Tuple[float, float, float, float]]
 ) -> float:
-    """Non-integer-q fallback for the first Hardy form, adaptive per piece."""
+    """Non-integer-q fallback for the first Hardy form: the pieces at 0 and
+    at infinity in closed form, the middle ones in one adaptive call."""
+    lo, hi, alpha, beta = np.array(segments, dtype=np.float64).reshape(-1, 4).T
+    live = (alpha != 0) | (beta != 0)
+    middle = live & (lo > 0) & np.isfinite(hi)
+    alpha_m, beta_m = alpha[middle], beta[middle]
+
+    def fn(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        phi_int = np.maximum(alpha_m[which, None] + beta_m[which, None] * t, 0.0)
+        return t ** ((delta - 1) * qf) * phi_int**qf / t
+
+    quad = iter(_adaptive_gauss(fn, lo[middle], hi[middle]).tolist())
     total = 0.0
-    for lo, hi, alpha, beta in segments:
-        if alpha == 0 and beta == 0:
+    for s_lo, s_hi, s_alpha, s_beta in segments:
+        if s_alpha == 0 and s_beta == 0:
             continue
-        if lo == 0:
+        if s_lo == 0:
             # alpha = 0 structurally (Phi(0) = 0): pure monomial piece
-            total += beta**qf * power_integral(delta * qf, 0.0, hi)
-        elif math.isinf(hi):
-            total += alpha**qf * power_integral((delta - 1) * qf, lo, hi)
+            total += s_beta**qf * power_integral(delta * qf, 0.0, s_hi)
+        elif math.isinf(s_hi):
+            total += s_alpha**qf * power_integral((delta - 1) * qf, s_lo, s_hi)
         else:
-
-            def fn(t: np.ndarray) -> np.ndarray:
-                phi_int = np.maximum(alpha + beta * t, 0.0)
-                return t ** ((delta - 1) * qf) * phi_int**qf / t
-
-            total += _adaptive_gauss(fn, lo, hi)
-        if math.isinf(total):
-            return math.inf
+            total += next(quad)
     return total ** (1.0 / qf)
 
 
@@ -378,23 +398,58 @@ def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _adaptive_gauss(
-    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rtol: float = 1e-9
-) -> float:
-    """Gauss-Legendre with interval bisection until the refinement is stable."""
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    rtol: float = 1e-9,
+) -> np.ndarray:
+    """Integral of fn over each interval (lo[i], hi[i]): Gauss-Legendre,
+    bisected breadth first until each refinement is stable.
+
+    fn(x, which) takes the nodes of many subintervals, x of shape (m, 32),
+    with which[r] the index i of the interval that row r lies in, and
+    returns the integrand at x.  Each level bisects every live subinterval
+    and evaluates all the halves in one call (in blocks of at most
+    _GAUSS_ROWS rows).  A half-pair is accepted where
+    |left + right - whole| <= rtol (|whole| + 1e-300), at depth > 24, or
+    when more than _GAUSS_LIVE pairs of its level would stay live.  The
+    accepted sums are then added back up the bisection tree, left child
+    plus right child, the order a depth-first recursion adds them in.
+    """
     nodes, weights = _gauss_legendre()
 
-    def estimate(a: float, b: float) -> float:
+    def estimate(a: np.ndarray, b: np.ndarray, which: np.ndarray) -> np.ndarray:
         mid, half = (a + b) / 2, (b - a) / 2
-        return half * float(np.sum(weights * fn(mid + half * nodes)))
+        out = np.empty(a.size)
+        for start in range(0, a.size, _GAUSS_ROWS):
+            rows = slice(start, start + _GAUSS_ROWS)
+            x = mid[rows, None] + half[rows, None] * nodes
+            out[rows] = half[rows] * (weights * fn(x, which[rows])).sum(axis=1)
+        return out
 
-    def refine(a: float, b: float, whole: float, depth: int) -> float:
+    a, b = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    which = np.arange(a.size)
+    whole = estimate(a, b, which)
+    levels = []  # (left + right, accepted) for the live pairs of each level
+    depth = 0
+    while a.size:
         mid = (a + b) / 2
-        left, right = estimate(a, mid), estimate(mid, b)
-        if depth > 24 or abs(left + right - whole) <= rtol * (abs(whole) + 1e-300):
-            return left + right
-        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
-
-    return refine(lo, hi, estimate(lo, hi), 0)
+        # the halves of interval k sit at rows 2k (left) and 2k + 1 (right)
+        a, b = np.stack((a, mid), axis=1).ravel(), np.stack((mid, b), axis=1).ravel()
+        which = np.repeat(which, 2)
+        halves = estimate(a, b, which)
+        pair = halves[0::2] + halves[1::2]
+        done = np.abs(pair - whole) <= rtol * (np.abs(whole) + 1e-300)
+        done |= depth > 24 or done.size - np.count_nonzero(done) > _GAUSS_LIVE
+        levels.append((pair, done))
+        live = np.repeat(~done, 2)
+        a, b, which, whole = a[live], b[live], which[live], halves[live]
+        depth += 1
+    total = np.empty(0)
+    for pair, done in reversed(levels):
+        pair[~done] = total[0::2] + total[1::2]
+        total = pair
+    return total
 
 
 def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
@@ -430,19 +485,19 @@ def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
             if math.isinf(total):
                 return math.inf
         return max(total, 0.0) ** (1.0 / n)
-    total = 0.0
-    for lo, hi, e_j, v in segments:
-        if e_j == 0 and v == 0:
-            continue
+    live = [seg for seg in segments if seg[2] != 0 or seg[3] != 0]
+    _, _, e, v = np.array(live, dtype=np.float64).reshape(-1, 4).T
+    # from lo = 0, truncate where the exponential has decayed far below scale
+    cut = (60.0 + 10.0 * qf) / (gamma1 * qf)
+    a, b = np.array(
+        [(math.log(lo) if lo > 0 else math.log(hi) - cut, math.log(hi)) for lo, hi, _, _ in live]
+    ).reshape(-1, 2).T
 
-        def fn(lam: np.ndarray) -> np.ndarray:
-            return np.exp(gamma1 * qf * lam) * np.maximum(e_j - v * lam, 0.0) ** qf
+    def fn(lam: np.ndarray, which: np.ndarray) -> np.ndarray:
+        affine = np.maximum(e[which, None] - v[which, None] * lam, 0.0)
+        return np.exp(gamma1 * qf * lam) * affine**qf
 
-        a = llo(lo)
-        if a == _NEG_INF:
-            # truncate where the exponential has decayed far below scale
-            a = math.log(hi) - (60.0 + 10.0 * qf) / (gamma1 * qf)
-        total += _adaptive_gauss(fn, a, math.log(hi))
+    total = sum(_adaptive_gauss(fn, a, b).tolist())
     return total ** (1.0 / qf)
 
 
@@ -633,59 +688,47 @@ def _calderon_quadrature(
     f_val, g_val = fstar.values[fk], gstar.values[gk]
     min_break = min(float(fstar.breaks[0]), float(gstar.breaks[0]))
     a, b, c = eta._abc.T
-    lines = eta._abc.tolist()
+    # the sigma-crossing of branches i and j is affine in rho, slope rho +
+    # offset; the envelope pattern changes only where one crosses a sigma
+    # edge or another crossing, or where two parallel branches swap
+    i, j = np.triu_indices(a.size, 1)
+    parallel = b[i] == b[j]
+    swap = parallel & (a[i] != a[j])
+    kinks = [(c[i[swap]] - c[j[swap]]) * log_t / (a[i[swap]] - a[j[swap]])]
+    i, j = i[~parallel], j[~parallel]
+    slope = (a[j] - a[i]) / (b[i] - b[j])
+    offset = -(c[j] - c[i]) * log_t / (b[i] - b[j])
+    u, v = np.triu_indices(slope.size, 1)
+    meet = slope[u] != slope[v]
+    kinks.append((offset[v[meet]] - offset[u[meet]]) / (slope[u[meet]] - slope[v[meet]]))
+    moving = slope != 0
+    slope, offset = slope[moving], offset[moving]
 
     def total_at(floor: float) -> float:
         s_lo = np.maximum(g_lo, floor)
-        s_edges = set(s_lo.tolist()) | set(g_hi.tolist())
 
-        def inner(rho: np.ndarray) -> np.ndarray:
+        def inner(x: np.ndarray, which: np.ndarray) -> np.ndarray:
             # axes: (rho node, branch, g* piece); at fixed rho branch k is
             # e^{a_k rho - c_k log t} e^{b_k sigma}, integrated in sigma over
             # its interval within the piece
-            icpt = np.multiply.outer(rho, a) - c * log_t
+            icpt = np.multiply.outer(x.ravel(), a) - c * log_t
             lo, hi = _branch_intervals(b, icpt)
             upper = np.minimum(hi[:, :, None], g_hi)
             lower = np.minimum(np.maximum(lo[:, :, None], s_lo), upper)
             base, gamma = icpt[:, :, None], b[:, None]
             part = _exp_antiderivative(base, gamma, upper)
             part -= _exp_antiderivative(base, gamma, lower)
-            return (part * g_val).sum(axis=(1, 2))
+            return (part * g_val).sum(axis=(1, 2)).reshape(x.shape)
 
-        # sigma-crossings sigma*_{ij}(rho) are affine in rho; the envelope
-        # pattern changes only where one hits a sigma edge or another crossing
-        crossing_affine = []
-        kinks = set()
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                ai, bi, ci = lines[i]
-                aj, bj, cj = lines[j]
-                if bi == bj:
-                    if ai != aj:
-                        kinks.add((ci - cj) * log_t / (ai - aj))
-                    continue
-                slope = (aj - ai) / (bi - bj)
-                icpt = -(cj - ci) * log_t / (bi - bj)
-                crossing_affine.append((slope, icpt))
-                if slope != 0:
-                    for s_e in s_edges:
-                        kinks.add((s_e - icpt) / slope)
-        for i in range(len(crossing_affine)):
-            for j in range(i + 1, len(crossing_affine)):
-                s1_, i1 = crossing_affine[i]
-                s2_, i2 = crossing_affine[j]
-                if s1_ != s2_:
-                    kinks.add((i2 - i1) / (s1_ - s2_))
-
-        total = 0.0
-        for p0, p1, fv in zip(
-            np.maximum(f_lo, floor).tolist(), f_hi.tolist(), f_val.tolist()
-        ):
-            edges = [p0] + sorted(k for k in kinks if p0 < k < p1) + [p1]
-            for x0, x1 in zip(edges, edges[1:]):
-                if x1 > x0:
-                    total += fv * _adaptive_gauss(inner, x0, x1, rtol=1e-10)
-        return total
+        # each f* piece cut at the kinks inside it, one row per piece
+        edges = np.concatenate((s_lo, g_hi))[:, None]
+        cuts = np.unique(np.concatenate(kinks + [((edges - offset) / slope).ravel()]))
+        cuts = np.concatenate(([_NEG_INF], cuts, [math.inf]))
+        lo = np.maximum.outer(np.maximum(f_lo, floor), cuts[:-1])
+        hi = np.minimum.outer(f_hi, cuts[1:])
+        keep = hi > lo
+        parts = _adaptive_gauss(inner, lo[keep], hi[keep], rtol=1e-10)
+        return sum((np.broadcast_to(f_val[:, None], keep.shape)[keep] * parts).tolist())
 
     floor = math.log(1e-6 * min_break)
     prev = total_at(floor)
@@ -782,77 +825,35 @@ class PiecewiseMonomial:
 
 
 def halfline_lorentz_functional(
-    h: Union[StepFunction, PiecewiseMonomial, Callable[[float], float]],
-    q: ExponentLike,
-    w: ExponentLike,
-    support: Tuple[float, float] = (1e-12, 1e12),
+    h: Union[StepFunction, PiecewiseMonomial], q: ExponentLike, w: ExponentLike
 ) -> float:
     """{ integral [t^{1/q} h(t)]^w dt/t }^{1/w}, sup form when w = inf.
 
-    Exact for step functions and piecewise monomials.  For a plain callable
-    the integral is truncated to `support` and evaluated by a composite
-    midpoint rule in log t, doubled until two successive refinements agree
-    to 1e-6 relative.
+    Exact for step functions and piecewise monomials, the two types taken.
     """
     q = parse_exponent(q)
     w = parse_exponent(w)
     e = recip(q)
     if isinstance(h, StepFunction):
         return step_halfline_functional(h, e, w)
+    if not isinstance(h, PiecewiseMonomial):
+        raise TypeError(
+            f"h must be a StepFunction or a PiecewiseMonomial, got {type(h).__name__}"
+        )
     ef = as_float(e)
-    if isinstance(h, PiecewiseMonomial):
-        if is_inf(w):
-            sup = 0.0
-            for lo, hi, coef, expo in h.pieces:
-                if coef > 0:
-                    sup = max(sup, coef * power_sup(ef + expo, lo, hi))
-            return sup
-        wf = as_float(w)
-        total = 0.0
+    if is_inf(w):
+        sup = 0.0
         for lo, hi, coef, expo in h.pieces:
             if coef > 0:
-                total += coef**wf * power_integral((ef + expo) * wf, lo, hi)
-        if math.isinf(total):
-            return math.inf
-        return total ** (1.0 / wf)
-    lo, hi = support
-    lam0, lam1 = math.log(lo), math.log(hi)
-    if is_inf(w):
-        def window_sup(a: float, b: float) -> float:
-            lams = np.linspace(a, b, 4097)
-            return float(max(math.exp(ef * lam) * h(math.exp(lam)) for lam in lams))
-
-        sup = window_sup(lam0, lam1)
-        while lam1 < 690.0:
-            ext = max(
-                window_sup(max(lam0 - 30, -690.0), lam0),
-                window_sup(lam1, min(lam1 + 30, 690.0)),
-            )
-            lam0, lam1 = max(lam0 - 30, -690.0), min(lam1 + 30, 690.0)
-            if ext <= sup * (1 + 1e-9):
-                break
-            sup = max(sup, ext)
+                sup = max(sup, coef * power_sup(ef + expo, lo, hi))
         return sup
     wf = as_float(w)
-
-    def fn(lams: np.ndarray) -> np.ndarray:
-        return np.array(
-            [(math.exp(ef * lam) * h(math.exp(lam))) ** wf for lam in lams]
-        )
-
-    total = _adaptive_gauss(fn, lam0, lam1, rtol=1e-8)
-    # widen the window until the newly added mass is negligible
-    while lam1 < 690.0 or lam0 > -690.0:
-        new_lo, new_hi = max(lam0 - 30, -690.0), min(lam1 + 30, 690.0)
-        ext = 0.0
-        if new_lo < lam0:
-            ext += _adaptive_gauss(fn, new_lo, lam0, rtol=1e-8)
-        if new_hi > lam1:
-            ext += _adaptive_gauss(fn, lam1, new_hi, rtol=1e-8)
-        lam0, lam1 = new_lo, new_hi
-        total += ext
-        if ext <= 1e-7 * (total + 1e-300):
-            break
+    total = 0.0
+    for lo, hi, coef, expo in h.pieces:
+        if coef > 0:
+            total += coef**wf * power_integral((ef + expo) * wf, lo, hi)
+    if math.isinf(total):
+        return math.inf
     return total ** (1.0 / wf)
 
 
@@ -869,9 +870,22 @@ def calderon_t_functional(
 
     The separable kernel factors as min(1, t^{-1/2}) times a constant, a
     closed form.  For the sqrt-min kernel: S is constant on (0, 1] (the
-    kernel there is min(r,s), free of t) and sqrt(t) * S(t) increases to
-    the product of sqrt-moments, so the head and the far tail are pinned
-    exactly and only an analytic-between-kinks interior needs quadrature.
+    kernel there is min(r,s), free of t) and M(t) = sqrt(t) S(t) increases
+    to M_inf, the product of sqrt-moments, so the head is exact and the far
+    tail is pinned between M(T) and M_inf.  One evaluator call gives S at
+    t = 1 and at the tail candidates T = 4, 16, ..., 4^60.
+
+    For finite w the tail starts at the first T whose bracket is tight
+    (4^60 if none is), and one integrator call covers the interior (1, T),
+    analytic between kinks at the gaps |log b_i - log c_j|.  For w = inf
+    the candidates seed a grid.  On a cell [a, b], t^{1/q} S(t) =
+    t^gamma M(t), gamma = 1/q - 1/2 < 0, lies between its end values and
+    min(a^gamma M(b), b^{1/q} S(a)); past the last node T it is below
+    T^gamma M_inf.  Each level evaluates in one call the geometric
+    midpoints of every cell whose bound exceeds the largest value by more
+    than rtol, and 4T if the tail's bound does.  The result is the middle
+    of the bracket once no bound does, or once the grid has _SUP_NODES
+    nodes.
     """
     q = parse_exponent(q)
     w = parse_exponent(w)
@@ -886,17 +900,9 @@ def calderon_t_functional(
         raise ValueError(
             "the t-functional supports the sqrt-min and separable kernels only"
         )
-    s_cache: dict = {}
-
-    def s_of(t: float) -> float:
-        if t not in s_cache:
-            s_cache[t] = float(_calderon_corners(eta, fstar, gstar, np.array([t]))[0])
-        return s_cache[t]
-
-    def m_of(t: float) -> float:
-        return math.sqrt(t) * s_of(t)
-
-    s0 = s_of(1.0)
+    ts = 4.0 ** np.arange(61)
+    s = _calderon_corners(eta, fstar, gstar, ts)
+    s0 = float(s[0])
     m_bound = sqrt_moment(fstar) * sqrt_moment(gstar)
     if s0 == 0 or m_bound == 0:
         return 0.0
@@ -905,37 +911,24 @@ def calderon_t_functional(
         # sup on (0,1] is exact: t^{1/q} S0 peaks at t = 1
         head = s0 * power_sup(ef, 0.0, 1.0)
         gamma = ef - 0.5
-
-        def sup_bracket(a: float, b: float) -> Tuple[float, float]:
-            # two valid upper bounds: t^{gamma} M(t) and t^{1/q} S(t)
-            up = min(a**gamma * m_of(b), b**ef * s_of(a))
-            lo = max(a**gamma * m_of(a), b**gamma * m_of(b))
-            return lo, up
-
-        lower = head
-        heap: List[Tuple[float, float, float]] = []  # (-up, a, b); b=inf tail
-        lo0, up0 = sup_bracket(1.0, 2.0)
-        lower = max(lower, lo0)
-        heapq.heappush(heap, (-up0, 1.0, 2.0))
-        heapq.heappush(heap, (-(2.0**gamma * m_bound), 2.0, math.inf))
-        for _ in range(20000):
-            neg_up, a, b = heap[0]
-            upper = max(head, -neg_up)
-            if upper <= lower * (1 + rtol):
+        while True:
+            m = np.sqrt(ts) * s
+            lower = max(head, float(np.max(ts**gamma * m)))
+            # on a cell [a, b] S falls and M rises
+            up = np.minimum(ts[:-1] ** gamma * m[1:], ts[1:] ** ef * s[:-1])
+            tail_up = float(ts[-1]) ** gamma * m_bound
+            upper = max(head, float(np.max(up)), tail_up)
+            bar = lower * (1 + rtol)
+            new = np.sqrt(ts[:-1] * ts[1:])[up > bar]
+            if tail_up > bar and math.isfinite(4 * ts[-1]):
+                new = np.append(new, 4 * ts[-1])
+            # no cell and no tail left above the bar: the bracket is tight
+            if not new.size or ts.size >= _SUP_NODES:
                 return (upper + lower) / 2
-            heapq.heappop(heap)
-            if math.isinf(b):
-                lo1, up1 = sup_bracket(a, 4 * a)
-                lower = max(lower, lo1)
-                heapq.heappush(heap, (-up1, a, 4 * a))
-                heapq.heappush(heap, (-((4 * a) ** gamma * m_bound), 4 * a, math.inf))
-            else:
-                mid = math.sqrt(a * b)
-                for aa, bb in ((a, mid), (mid, b)):
-                    lo1, up1 = sup_bracket(aa, bb)
-                    lower = max(lower, lo1)
-                    heapq.heappush(heap, (-up1, aa, bb))
-        return (max(head, -heap[0][0]) + lower) / 2
+            ts = np.append(ts, new)
+            s = np.append(s, _calderon_corners(eta, fstar, gstar, new))
+            order = np.argsort(ts)
+            ts, s = ts[order], s[order]
     wf = as_float(w)
     head = s0**wf * power_integral(ef * wf, 0.0, 1.0)
     if math.isinf(head):
@@ -945,13 +938,11 @@ def calderon_t_functional(
     # far tail: sqrt(t) S(t) is pinched between M(T) and its limit, so the
     # monotone bracket is tight once T is large; pick T with width <= rtol/4
     scale = head + s0**wf * power_integral(gamma, 1.0, math.inf)
-    t_big = 4.0
-    for _ in range(60):
-        tail_lo = m_of(t_big) ** wf * power_integral(gamma, t_big, math.inf)
+    for t_big, m_big in zip(ts[1:].tolist(), (np.sqrt(ts) * s)[1:].tolist()):
+        tail_lo = m_big**wf * power_integral(gamma, t_big, math.inf)
         tail_hi = m_bound**wf * power_integral(gamma, t_big, math.inf)
         if tail_hi - tail_lo <= 0.25 * rtol * (scale + tail_lo):
             break
-        t_big *= 4
     tail = (tail_lo + tail_hi) / 2
 
     # interior: analytic in log t between kinks at |log-breakpoint gaps|
@@ -959,15 +950,15 @@ def calderon_t_functional(
     edges_f = [math.log(float(b)) for b in fstar.breaks]
     edges_g = [math.log(float(b)) for b in gstar.breaks]
     kinks = sorted(
-        {abs(p - s) for p in edges_f for s in edges_g if 0 < abs(p - s) < lam_big}
+        {abs(p - c) for p in edges_f for c in edges_g if 0 < abs(p - c) < lam_big}
     )
-    fn = lambda lams: (
-        np.exp(ef * wf * lams) * _calderon_corners(eta, fstar, gstar, np.exp(lams)) ** wf
-    )
-    interior = 0.0
-    for x0, x1 in zip([0.0] + kinks, kinks + [lam_big]):
-        if x1 > x0:
-            interior += _adaptive_gauss(fn, x0, x1, rtol=0.1 * rtol)
+    edges = np.array([0.0] + kinks + [lam_big])
+
+    def fn(lams: np.ndarray, which: np.ndarray) -> np.ndarray:
+        svals = _calderon_corners(eta, fstar, gstar, np.exp(lams).ravel())
+        return np.exp(ef * wf * lams) * svals.reshape(lams.shape) ** wf
+
+    interior = sum(_adaptive_gauss(fn, edges[:-1], edges[1:], rtol=0.1 * rtol).tolist())
     return (head + interior + tail) ** (1.0 / wf)
 
 

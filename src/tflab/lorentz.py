@@ -226,10 +226,6 @@ class StepFunction:
         low = float(self.breaks[j - 1]) if j else 0.0
         return prev + float(self.values[j]) * (t - low)
 
-    @property
-    def total_integral(self) -> float:
-        return float(self._cum_integral[-1]) if len(self) else 0.0
-
     def distribution(self, alpha: float) -> float:
         """Lebesgue measure of {t : value > alpha}."""
         if alpha < 0:

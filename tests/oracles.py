@@ -8,7 +8,7 @@ library assembles it with.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from tflab import (
     tf_shift,
     wigner_tau,
 )
-from tflab.calderon import _NEG_INF
+from tflab.calderon import _NEG_INF, _gauss_legendre
 from tflab.tfa import _dft_rows
 
 
@@ -339,3 +339,28 @@ def calderon_exact_oracle(eta: EtaSet, fstar: StepFunction, gstar: StepFunction,
                     return math.inf
                 total += fv * gv * part
     return total
+
+
+# -- adaptive quadrature ---------------------------------------------------------
+
+
+def adaptive_gauss_oracle(
+    fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, rtol: float = 1e-9
+) -> float:
+    """Gauss-Legendre with interval bisection until the refinement is stable,
+    one interval at a time, depth first: the recursion the library's
+    breadth-first integrator unrolls."""
+    nodes, weights = _gauss_legendre()
+
+    def estimate(a: float, b: float) -> float:
+        mid, half = (a + b) / 2, (b - a) / 2
+        return half * float(np.sum(weights * fn(mid + half * nodes)))
+
+    def refine(a: float, b: float, whole: float, depth: int) -> float:
+        mid = (a + b) / 2
+        left, right = estimate(a, mid), estimate(mid, b)
+        if depth > 24 or abs(left + right - whole) <= rtol * (abs(whole) + 1e-300):
+            return left + right
+        return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
+
+    return refine(lo, hi, estimate(lo, hi), 0)

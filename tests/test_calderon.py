@@ -14,6 +14,7 @@ from tflab import (
     ETA_SEPARABLE,
     ETA_SQRT_MIN,
     EtaSet,
+    FiniteAbelianGroup,
     MeasuredFunction,
     PiecewiseMonomial,
     StepFunction,
@@ -27,10 +28,13 @@ from tflab import (
     lorentz_norm,
     mult_convolution,
     rearrangement,
+    sample_functions,
     young_check,
 )
+from tflab import calderon
+from tflab.verify import SAMPLE_KINDS
 
-from oracles import calderon_exact_oracle, mult_convolution_oracle
+from oracles import adaptive_gauss_oracle, calderon_exact_oracle, mult_convolution_oracle
 
 
 def random_step(rng: np.random.Generator, pieces: int = 4) -> StepFunction:
@@ -436,6 +440,70 @@ def test_calderon_apply_array_matches_scalar_calls() -> None:
     assert calderon_apply(ETA_SQRT_MIN, f, g, np.array([])).shape == (0,)
 
 
+# -- the adaptive integrator ----------------------------------------------------------
+
+
+def recorded_integrals(monkeypatch, compute) -> list:
+    """Run compute() and return (fn, lo, hi, rtol, result) for each call it
+    makes to the adaptive integrator."""
+    seen = []
+    integrate = calderon._adaptive_gauss
+
+    def record(fn, lo, hi, rtol=1e-9):
+        result = integrate(fn, lo, hi, rtol)
+        seen.append((fn, np.asarray(lo), np.asarray(hi), rtol, result))
+        return result
+
+    monkeypatch.setattr(calderon, "_adaptive_gauss", record)
+    compute()
+    monkeypatch.undo()
+    return seen
+
+
+def test_adaptive_gauss_matches_depth_first_oracle(monkeypatch) -> None:
+    # every interval handed to the breadth-first integrator, by every caller,
+    # against the recursion run on it alone with the same integrand: the
+    # same partition, summed in the same order, so the same bits
+    one = StepFunction([1.0], [1.0], monotone=True)
+    rng = np.random.default_rng(12)
+    f, g = random_monotone_step(rng, 4), random_monotone_step(rng, 3)
+    # Phi(t) = t - 1 vanishes at the left end of the piece (1, 2]: at
+    # q = 3/2 the integrand is not smooth there and the bisection reaches
+    # the depth cap
+    rises = StepFunction([1.0, 2.0, 3.5], [0.0, 1.0, 0.4])
+    cases = {
+        "hardy": lambda: [
+            hardy_check(phi, delta, "3/2")
+            for phi in (rises, random_step(rng, 5), f)
+            for delta in (-0.5, 0.25)
+        ],
+        "quadrature": lambda: calderon_apply(ETA_SQRT_MIN, f, g, 2.0, method="quadrature"),
+        "t-functional": lambda: [calderon_t_functional(f, g, 4, 2), calderon_t_functional(one, one, 3, 1)],
+    }
+    for name, compute in cases.items():
+        seen = recorded_integrals(monkeypatch, compute)
+        assert seen, name
+        for fn, lo, hi, rtol, result in seen:
+            assert result.shape == lo.shape
+            for i in range(lo.size):
+                row = lambda x: fn(x[None, :], np.array([i]))[0]
+                want = adaptive_gauss_oracle(row, float(lo[i]), float(hi[i]), rtol)
+                assert result[i] == want, name
+
+
+def test_adaptive_gauss_on_closed_forms() -> None:
+    lo, hi = np.array([0.0, 1.0, -2.0, 0.5]), np.array([1.0, 3.0, 2.0, 0.5])
+    got = calderon._adaptive_gauss(lambda x, which: np.exp(x) * (which[:, None] + 1), lo, hi)
+    want = (np.exp(hi) - np.exp(lo)) * np.arange(1, 5)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    assert calderon._adaptive_gauss(lambda x, which: x, np.array([]), np.array([])).shape == (0,)
+    # an integrand that never settles stops at the cap on live subintervals
+    nan = calderon._adaptive_gauss(lambda x, which: x * np.nan, lo[:1], hi[:1])
+    assert np.isnan(nan).all()
+    zero = calderon._adaptive_gauss(lambda x, which: np.sin(x), np.array([0.0]), np.array([2 * np.pi]), rtol=1e-30)
+    assert abs(zero[0]) < 1e-12
+
+
 # -- half-line Lorentz functionals ------------------------------------------------------
 
 
@@ -463,11 +531,9 @@ def test_step_functional_matches_lorentz_norm() -> None:
         )
 
 
-def test_callable_functional_quadrature() -> None:
-    # Plain-callable route, checked against the piecewise-monomial answer.
-    h = PiecewiseMonomial.bounded_inverse_sqrt()
-    got = halfline_lorentz_functional(lambda t: min(1.0, t**-0.5), 3, 1)
-    assert got == pytest.approx(9.0, rel=1e-5)
+def test_functional_rejects_callable() -> None:
+    with pytest.raises(TypeError, match="StepFunction or a PiecewiseMonomial"):
+        halfline_lorentz_functional(lambda t: min(1.0, t**-0.5), 3, 1)
 
 
 # -- the t-functional ---------------------------------------------------------------
@@ -498,6 +564,15 @@ def test_t_functional_matches_quadrature_oracle() -> None:
             assert got == pytest.approx(want, rel=1e-4)
 
 
+def brute_sup(fstar: StepFunction, gstar: StepFunction, q: float) -> float:
+    """max of t^{1/q} S(t) on a log grid, then on 10^5 points within 1% of
+    the grid's argmax."""
+    ts = np.geomspace(1e-4, 1e6, 4000)
+    top = ts[np.argmax(ts ** (1 / q) * calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts))]
+    ts = np.linspace(0.99 * top, 1.01 * top, 10**5)
+    return float(np.max(ts ** (1 / q) * calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts)))
+
+
 def test_t_functional_sup_form_unit_indicators() -> None:
     # sup_t t^{1/4} S(1,1)(t): S(t) = 2 - sqrt(t) + ... piecewise; the value
     # at q = 4, w = inf is pinned by the exact sup bracket.
@@ -505,8 +580,29 @@ def test_t_functional_sup_form_unit_indicators() -> None:
     got = calderon_t_functional(one, one, 4, math.inf)
     ts = np.geomspace(1e-4, 1e6, 4000)
     brute = float(np.max(ts**0.25 * calderon_apply(ETA_SQRT_MIN, one, one, ts)))
-    assert got == pytest.approx(brute, rel=1e-3)
     assert got >= brute - 1e-12
+    assert got == pytest.approx(brute_sup(one, one, 4), rel=2e-6)
+
+
+@pytest.mark.parametrize("kind", SAMPLE_KINDS)
+def test_t_functional_sup_form_sample_kinds(kind) -> None:
+    f, g = sample_functions(kind, FiniteAbelianGroup([6]), 3)
+    fstar, gstar = rearrangement(f.to_measured()), rearrangement(g.to_measured())
+    got = calderon_t_functional(fstar, gstar, 4, math.inf)
+    assert got == pytest.approx(brute_sup(fstar, gstar, 4), rel=2e-6)
+
+
+@pytest.mark.parametrize("w, most", [(math.inf, 40), (2, 4)])
+def test_t_functional_evaluator_calls(monkeypatch, w, most) -> None:
+    # one call for S(1) and the tail candidates, then one per refinement level
+    calls = []
+    corners = calderon._calderon_corners
+    monkeypatch.setattr(
+        calderon, "_calderon_corners", lambda *args: calls.append(1) or corners(*args)
+    )
+    one = StepFunction([1.0], [1.0], monotone=True)
+    assert calderon_t_functional(one, one, 4, w) > 0
+    assert len(calls) <= most
 
 
 def test_t_functional_separable_closed_form() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tflab import (
     GroupFunction,
     StepFunction,
     calderon_apply,
+    calderon_t_functional,
     canonical_json,
     fourier,
     load_json,
@@ -153,6 +155,19 @@ def test_calderon_custom_eta_without_band_form(capsys, workdir) -> None:
     assert [entry["value"] for entry in data["values"]] == calderon_apply(
         eta, sf, sf, np.array([0.5, 3.0])
     ).tolist()
+
+
+@pytest.mark.parametrize("w", [None, "2"])
+def test_calderon_t_functional(capsys, workdir, w) -> None:
+    step = str(workdir / "step.json")
+    extra = ["--w", w] if w else []
+    code, out = run(capsys, "calderon", "--f", step, "--g", step, "--q", "4", *extra)
+    assert code == 0
+    data = json.loads(out)
+    assert "values" not in data
+    sf = StepFunction([1.0, 2.0], [2.0, 1.0], monotone=True)
+    # w defaults to inf
+    assert data["t_functional"] == calderon_t_functional(sf, sf, 4, w or math.inf)
 
 
 def test_calderon_requires_t_or_functional(workdir) -> None:
