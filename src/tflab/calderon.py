@@ -83,6 +83,13 @@ _GAUSS_LIVE = 2**16
 #: returns the midpoint of its bracket.
 _SUP_NODES = 40_000
 
+#: Relative tolerance of the t-functional.
+_T_FUNCTIONAL_RTOL = 1e-6
+
+#: Relative change between two successive windows at which the log-grid
+#: quadrature stops pushing its window toward zero.
+_QUADRATURE_RTOL = 1e-8
+
 
 class EtaSet:
     """A finite set of exponent triples (1/u_k, 1/v_k, 1/w_k) in [0,1]^3.
@@ -519,7 +526,8 @@ def _sup_exp_affine(
         cands.append(val(math.log(lo)))
     cands.append(val(math.log(hi)))
     if b != 0 and gamma != 0:
-        lam_star = a / b - 1 / gamma
+        # the root of d/dlam = e^{gamma lam} (gamma (a + b lam) + b)
+        lam_star = -a / b - 1 / gamma
         if (lo == 0 or math.log(lo) < lam_star) and lam_star < math.log(hi):
             cands.append(val(lam_star))
     return max(cands)
@@ -665,15 +673,15 @@ def _calderon_quadrature(
     fstar: StepFunction,
     gstar: StepFunction,
     t: float,
-    rtol: float = 1e-8,
 ) -> float:
     """Log-grid quadrature: exact in sigma, adaptive Gauss-Legendre in rho.
 
     The window starts at 1e-6 times the smallest breakpoint and is pushed
-    further toward zero until two successive windows agree to rtol, so
-    slowly decaying kernel heads are captured.  The rho axis is split at
-    every value where the sigma-envelope pattern can change (pairwise line
-    crossings hitting piece edges or each other), leaving analytic pieces.
+    further toward zero until two successive windows agree to
+    _QUADRATURE_RTOL, so slowly decaying kernel heads are captured.  The rho
+    axis is split at every value where the sigma-envelope pattern can change
+    (pairwise line crossings hitting piece edges or each other), leaving
+    analytic pieces.
     """
     log_t = math.log(t)
     fk, gk = fstar.values > 0, gstar.values > 0
@@ -735,7 +743,7 @@ def _calderon_quadrature(
     for _ in range(6):
         floor -= math.log(1e4)
         cur = total_at(floor)
-        if abs(cur - prev) <= rtol * (abs(cur) + 1e-300):
+        if abs(cur - prev) <= _QUADRATURE_RTOL * (abs(cur) + 1e-300):
             return cur
         prev = cur
     return prev
@@ -863,10 +871,10 @@ def calderon_t_functional(
     q: ExponentLike,
     w: ExponentLike,
     eta: EtaSet = ETA_SQRT_MIN,
-    rtol: float = 1e-6,
 ) -> float:
     """{ integral [t^{1/q} S_eta(f*, g*)(t)]^w dt/t }^{1/w} for the two
-    canonical kernels, q in (2, inf], to relative tolerance rtol.
+    canonical kernels, q in (2, inf], to relative tolerance
+    _T_FUNCTIONAL_RTOL (1e-6).
 
     The separable kernel factors as min(1, t^{-1/2}) times a constant, a
     closed form.  For the sqrt-min kernel: S is constant on (0, 1] (the
@@ -883,9 +891,9 @@ def calderon_t_functional(
     min(a^gamma M(b), b^{1/q} S(a)); past the last node T it is below
     T^gamma M_inf.  Each level evaluates in one call the geometric
     midpoints of every cell whose bound exceeds the largest value by more
-    than rtol, and 4T if the tail's bound does.  The result is the middle
-    of the bracket once no bound does, or once the grid has _SUP_NODES
-    nodes.
+    than that tolerance, and 4T if the tail's bound does.  The result is
+    the middle of the bracket once no bound does, or once the grid has
+    _SUP_NODES nodes.
     """
     q = parse_exponent(q)
     w = parse_exponent(w)
@@ -918,7 +926,7 @@ def calderon_t_functional(
             up = np.minimum(ts[:-1] ** gamma * m[1:], ts[1:] ** ef * s[:-1])
             tail_up = float(ts[-1]) ** gamma * m_bound
             upper = max(head, float(np.max(up)), tail_up)
-            bar = lower * (1 + rtol)
+            bar = lower * (1 + _T_FUNCTIONAL_RTOL)
             new = np.sqrt(ts[:-1] * ts[1:])[up > bar]
             if tail_up > bar and math.isfinite(4 * ts[-1]):
                 new = np.append(new, 4 * ts[-1])
@@ -936,12 +944,12 @@ def calderon_t_functional(
     gamma = (ef - 0.5) * wf  # < 0 since q > 2
 
     # far tail: sqrt(t) S(t) is pinched between M(T) and its limit, so the
-    # monotone bracket is tight once T is large; pick T with width <= rtol/4
+    # monotone bracket is tight once T is large; pick T with width <= tol/4
     scale = head + s0**wf * power_integral(gamma, 1.0, math.inf)
     for t_big, m_big in zip(ts[1:].tolist(), (np.sqrt(ts) * s)[1:].tolist()):
         tail_lo = m_big**wf * power_integral(gamma, t_big, math.inf)
         tail_hi = m_bound**wf * power_integral(gamma, t_big, math.inf)
-        if tail_hi - tail_lo <= 0.25 * rtol * (scale + tail_lo):
+        if tail_hi - tail_lo <= 0.25 * _T_FUNCTIONAL_RTOL * (scale + tail_lo):
             break
     tail = (tail_lo + tail_hi) / 2
 
@@ -958,7 +966,8 @@ def calderon_t_functional(
         svals = _calderon_corners(eta, fstar, gstar, np.exp(lams).ravel())
         return np.exp(ef * wf * lams) * svals.reshape(lams.shape) ** wf
 
-    interior = sum(_adaptive_gauss(fn, edges[:-1], edges[1:], rtol=0.1 * rtol).tolist())
+    parts = _adaptive_gauss(fn, edges[:-1], edges[1:], rtol=0.1 * _T_FUNCTIONAL_RTOL)
+    interior = sum(parts.tolist())
     return (head + interior + tail) ** (1.0 / wf)
 
 

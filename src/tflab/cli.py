@@ -3,7 +3,8 @@
 Exit codes: 0 on success with every requested check passing, 1 when an
 inequality check fails beyond tolerance or a baseline drifts, 2 on usage
 or parse errors.  All numeric output is deterministic per seed.  A JSON
-config file may supply flag defaults (explicit flags win); the TFLAB_SEED
+config file may supply flag defaults, keyed by flag name (explicit flags
+win, and a key that names no flag is a usage error); the TFLAB_SEED
 environment variable supplies the seed when neither flag nor config does.
 """
 
@@ -27,7 +28,7 @@ from .calderon import (
 )
 from .exponents import format_exponent, parse_exponent
 from .groups import FiniteAbelianGroup, GroupEndomorphism, parse_group
-from .lorentz import MeasuredFunction, StepFunction
+from .lorentz import StepFunction
 from .serialize import canonical_json, load_json, write_csv, write_json
 from .tfa import (
     GroupFunction,
@@ -40,7 +41,6 @@ from .tfa import (
     wigner_tau,
 )
 from .verify import (
-    BASELINE_GRID,
     IndexTuple,
     TheoremInstance,
     compute_baselines,
@@ -65,40 +65,27 @@ SUBCOMMANDS = (
     "baseline",
 )
 
-#: Built-in defaults, overridable by config file, env, then flags.
+#: Built-in default seed, overridable by config file, env, then flags.
 DEFAULT_SEED = TheoremInstance.seed
-DEFAULT_TOLERANCE = 1e-9
 
-_ETA_ALIASES = {
-    "canonical": "canonical",
-    "separable": "separable",
-    "3e3": "canonical",
-    "(3e3)": "canonical",
-    "t2": "separable",
-    "(t2)": "separable",
-    "custom": "custom",
-}
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
 
 
-def _load_values(path: str, n: Optional[int] = None) -> np.ndarray:
-    """Complex values from a function file: a raw [[re, im], ...] list,
-    {"values": [...]} with [re, im] or scalar entries, or a measured-atom
-    file {"atoms": [[id, weight, [re, im]], ...]}."""
+def _load_values(path: str, n: int) -> np.ndarray:
+    """Complex values from a function file {"values": [...]}, each entry
+    [re, im] or a real number."""
     obj = load_json(path)
-    if isinstance(obj, dict) and "atoms" in obj:
-        mf = MeasuredFunction.from_json(obj)
-        values = np.zeros(int(mf.ids.max()) + 1, dtype=np.complex128)
-        values[mf.ids] = mf.values
-    else:
-        raw = obj["values"] if isinstance(obj, dict) else obj
-        values = np.array(
-            [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in raw]
+    if not (isinstance(obj, dict) and isinstance(obj.get("values"), list)):
+        raise ValueError(
+            f'{path}: expected a function file {{"values": [[re, im] or x, ...]}}'
         )
-    if n is not None and values.size != n:
+    values = np.array(
+        [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in obj["values"]]
+    )
+    if values.size != n:
         raise ValueError(
             f"{path}: expected {n} values for the group, found {values.size}"
         )
@@ -211,27 +198,22 @@ def _cmd_weyl(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_eta(args: argparse.Namespace) -> EtaSet:
-    preset = _ETA_ALIASES.get(args.eta.lower())
-    if preset is None:
-        raise ValueError(
-            f"unknown eta preset {args.eta!r}; use canonical, separable, or custom"
-        )
-    if preset == "canonical":
+def _make_eta(spec: str) -> EtaSet:
+    """canonical (sqrt-min), separable, or triples 'a,b,c;a,b,c;...'."""
+    if spec == "canonical":
         return ETA_SQRT_MIN
-    if preset == "separable":
+    if spec == "separable":
         return ETA_SEPARABLE
-    if not args.eta_triples:
-        raise ValueError("--eta custom requires --eta-triples 'a,b,c;a,b,c;...'")
-    triples = [
-        tuple(part.strip() for part in row.split(","))
-        for row in args.eta_triples.split(";")
-    ]
-    return EtaSet(triples)
+    rows = [tuple(part.strip() for part in row.split(",")) for row in spec.split(";")]
+    if any(len(row) != 3 for row in rows):
+        raise ValueError(
+            f"--eta takes canonical, separable or triples 'a,b,c;a,b,c;...', got {spec!r}"
+        )
+    return EtaSet(rows)
 
 
 def _cmd_calderon(args: argparse.Namespace) -> int:
-    eta = _make_eta(args)
+    eta = _make_eta(args.eta)
     fstar = _load_step(args.f)
     gstar = _load_step(args.g)
     payload: Dict[str, Any] = {
@@ -332,9 +314,7 @@ def _cmd_uncertainty(args: argparse.Namespace) -> int:
     f = GroupFunction(grp, _load_values(args.input, grp.size))
     g = GroupFunction(grp, _load_values(args.window, grp.size))
     omega = _parse_omega(args.omega, grp, _resolve_seed(args))
-    eps, lhs, rhs, bound, holds = uncertainty_check(
-        f, g, omega, args.q, u=args.u or 1, v=args.v or 1
-    )
+    eps, lhs, rhs, bound, holds = uncertainty_check(f, g, omega, args.q, args.u, args.v)
     _emit(
         args,
         {
@@ -365,14 +345,13 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         stored = load_json(path)["entries"]
     except OSError:
         return _fail(f"cannot read baseline file {path}")
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
     drifted = []
     worst = 0.0
     for key, value in sorted(values.items()):
         old = stored.get(key)
         scale = max(abs(value), abs(old) if old is not None else 0.0, 1e-30)
         diff = abs(value - old) if old is not None else math.inf
-        ok = diff <= tolerance * scale
+        ok = diff <= args.tolerance * scale
         drift = diff / scale
         # max() keeps a NaN it already holds, so a NaN drift stays visible
         worst = drift if math.isnan(drift) else max(worst, drift)
@@ -380,7 +359,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
               f" {drift:.3e} {'ok' if ok else 'DRIFT'}")
         if not ok:
             drifted.append(key)
-    print(f"max relative drift: {worst:.3e} (tolerance {tolerance:.1e})")
+    print(f"max relative drift: {worst:.3e} (tolerance {args.tolerance:.1e})")
     missing = sorted(set(stored) - set(values))
     if missing:
         print(f"stored entries not recomputed: {missing}")
@@ -390,12 +369,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, group: bool = True) -> None:
-    if group:
-        sub.add_argument("--group", required=True, help="group spec, e.g. 12 or 4x6")
-        sub.add_argument(
-            "--weight", type=float, default=1.0, help="Haar weight per point"
-        )
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--group", required=True, help="group spec, e.g. 12 or 4x6")
+    sub.add_argument("--weight", type=float, default=1.0, help="Haar weight per point")
     sub.add_argument("--out", help="write canonical JSON here instead of stdout")
 
 
@@ -462,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--eta",
         default="canonical",
-        help="kernel preset: canonical (sqrt-min), separable, or custom",
+        help="kernel: canonical (sqrt-min), separable, or triples 'a,b,c;a,b,c;...'",
     )
-    sub.add_argument("--eta-triples", help="custom triples 'a,b,c;a,b,c;...'")
     sub.add_argument("--f", required=True, help="step-function JSON (breaks/values)")
     sub.add_argument("--g", required=True, help="step-function JSON (breaks/values)")
     sub.add_argument("--t", type=float, action="append",
@@ -504,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--window", required=True, help="window JSON (values)")
     sub.add_argument("--q", required=True, type=parse_exponent, help="chain exponent in (2, inf)")
-    sub.add_argument("--u", type=parse_exponent, help="window exponent (default 1)")
-    sub.add_argument("--v", type=parse_exponent, help="window exponent (default 1)")
+    sub.add_argument("--u", type=parse_exponent, default=1, help="window exponent in [1, inf]")
+    sub.add_argument("--v", type=parse_exponent, default=1, help="window exponent in [1, inf]")
     sub.add_argument("--omega", default="all",
                      help="'all', 'random:<density>', or 'x,xi;x,xi;...'")
     sub.add_argument("--seed", type=int, help="seed for random omega")
@@ -516,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--write", action="store_true",
                      help="overwrite the stored baseline file")
     sub.add_argument("--path", help="baseline file (default: packaged data)")
-    sub.add_argument("--tolerance", type=float, help="relative drift allowance")
+    sub.add_argument("--tolerance", type=float, default=1e-9,
+                     help="relative drift allowance")
     sub.set_defaults(func=_cmd_baseline)
 
     return parser
@@ -537,6 +513,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _fail(f"cannot read config file {argv[at + 1]}")
         if not isinstance(config, dict):
             return _fail("config file must hold a JSON object of flag defaults")
+        flags = {
+            action.dest
+            for sub in parser.tflab_subparsers.values()  # type: ignore[attr-defined]
+            for action in sub._actions
+            if action.option_strings and action.dest != "help"
+        }
+        unknown = sorted(set(config) - flags)
+        if unknown:
+            return _fail(f"config keys that name no flag: {unknown}")
         parser.set_defaults(**config)
         for sub in parser.tflab_subparsers.values():  # type: ignore[attr-defined]
             sub.set_defaults(**config)

@@ -253,11 +253,6 @@ class GroupEndomorphism:
         n = np.array(self.group.orders).reshape(-1, 1)
         return GroupEndomorphism(self.group, prod % n)
 
-    def __add__(self, other: "GroupEndomorphism") -> "GroupEndomorphism":
-        if other.group.orders != self.group.orders:
-            raise ValueError("cannot add endomorphisms of different groups")
-        return GroupEndomorphism(self.group, self.matrix + other.matrix)
-
     def __sub__(self, other: "GroupEndomorphism") -> "GroupEndomorphism":
         if other.group.orders != self.group.orders:
             raise ValueError("cannot subtract endomorphisms of different groups")

@@ -151,7 +151,9 @@ class StepFunction:
     """Non-negative step function on (0, inf), zero past the last breakpoint.
 
     Takes value ``values[j]`` on [breaks[j-1], breaks[j]) with breaks[-1] = 0
-    implicit; breakpoints are finite and strictly increasing.
+    implicit; breakpoints are finite and strictly increasing.  With
+    ``monotone=True`` the constructor also checks that the values do not
+    increase.
     """
 
     def __init__(
@@ -173,7 +175,6 @@ class StepFunction:
                 raise ValueError("step values must be non-negative")
         if monotone and self.values.size and np.any(np.diff(self.values) > 0):
             raise ValueError("monotone flag set but values increase")
-        self.monotone = monotone
 
     def __len__(self) -> int:
         return int(self.breaks.size)

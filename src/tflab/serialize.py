@@ -123,8 +123,8 @@ def canonical_json(obj: Any) -> str:
     return out.getvalue()
 
 
-def drop_keys(obj: Any, keys: Sequence[str] = VOLATILE_KEYS) -> Any:
-    """Recursively remove the named mapping keys (for stable comparison).
+def drop_keys(obj: Any) -> Any:
+    """Recursively remove the VOLATILE_KEYS (for stable comparison).
 
     Objects with a ``to_json`` method are converted first, as
     :func:`canonical_json` would, so their keys are removed too.
@@ -132,9 +132,9 @@ def drop_keys(obj: Any, keys: Sequence[str] = VOLATILE_KEYS) -> Any:
     if hasattr(obj, "to_json"):
         obj = obj.to_json()
     if isinstance(obj, (list, tuple)):
-        return [drop_keys(item, keys) for item in obj]
+        return [drop_keys(item) for item in obj]
     if isinstance(obj, Mapping):
-        return {k: drop_keys(v, keys) for k, v in obj.items() if k not in keys}
+        return {k: drop_keys(v) for k, v in obj.items() if k not in VOLATILE_KEYS}
     return obj
 
 

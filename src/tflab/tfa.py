@@ -17,7 +17,7 @@ literal character sum as the reference route; the independent oracles
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -103,10 +103,9 @@ class GroupFunction:
     def lorentz_norm(self, p: ExponentLike, q: ExponentLike) -> float:
         return _lorentz_norm(np.abs(self.values), self.group.haar_weight, p, q)
 
-    def to_measured(self, domain: Optional[str] = None) -> MeasuredFunction:
+    def to_measured(self) -> MeasuredFunction:
         g = self.group
-        if domain is None:
-            domain = "x".join(str(n) for n in g.orders)
+        domain = "x".join(str(n) for n in g.orders)
         return MeasuredFunction(
             np.arange(g.size), np.full(g.size, g.haar_weight), self.values, domain
         )

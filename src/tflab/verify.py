@@ -675,16 +675,19 @@ def restricted_weak_type_check(
 # -- rearrangement majorization ----------------------------------------------------
 
 
+#: Log-spaced points the majorization grid adds to the rearrangement's own.
+_MAJORIZATION_FILL = 32
+
+
 def majorization_check(
-    f: GroupFunction,
-    g: GroupFunction,
-    eta: EtaSet = ETA_SQRT_MIN,
-    fill: int = 32,
+    f: GroupFunction, g: GroupFunction, eta: EtaSet = ETA_SQRT_MIN
 ) -> float:
     """max over a t-grid of (V_g f)*(t) / S_eta(f*, g*)(t).
 
     The grid takes every piece of the exact rearrangement (sampled at
-    geometric midpoints and right endpoints) plus a log-spaced fill.
+    geometric midpoints and right endpoints) plus _MAJORIZATION_FILL
+    log-spaced points from an eighth of its first breakpoint to eight times
+    its last.
     """
     hstar = rearrangement(stft(f, g).to_measured())
     if not len(hstar):
@@ -696,7 +699,7 @@ def majorization_check(
     mids = np.sqrt(lows * breaks)
     grid = np.unique(
         np.concatenate(
-            [mids, breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, fill)]
+            [mids, breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, _MAJORIZATION_FILL)]
         )
     )
     tops = np.append(hstar.values, 0.0)[np.searchsorted(breaks, grid, side="right")]
@@ -716,41 +719,32 @@ def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
 def uncertainty_check(
     f: GroupFunction,
     g: GroupFunction,
-    omega: Union[np.ndarray, Sequence[Union[int, Tuple[int, int]]]],
+    omega: Union[np.ndarray, Sequence[Tuple[int, int]]],
     q: ExponentLike,
     u: ExponentLike = 1,
     v: ExponentLike = 1,
-    w: Optional[ExponentLike] = None,
-    r: Optional[ExponentLike] = None,
-    epsilon: Optional[float] = None,
 ) -> Tuple[float, float, float, float, bool]:
     """The concentration chain sqrt(eps) <= 2 ||V_g f||_{q,w} ||1_Omega||_{s,r}.
 
-    eps is the spectrogram energy captured by Omega (or a requested lower
-    amount), s solves 1/q + 1/s = 1/2, and unless given, w and r are the
-    canonical choice 1/w = clamp(1/u + 1/v - 1, 0, 1/2), 1/r = 1/2 - 1/w.
-    Omega is a boolean (|G|, |G|) mask, or a list of (x, xi) pairs or flat
-    indices x * |G| + xi.
+    eps is the spectrogram energy captured by Omega, s solves
+    1/q + 1/s = 1/2, and w and r follow from the window exponents u, v in
+    [1, inf]: 1/w = clamp(1/u + 1/v - 1, 0, 1/2) and 1/r = 1/2 - 1/w.
+    Omega is a boolean (|G|, |G|) mask or a list of (x, xi) pairs, each
+    reduced mod |G|.
     Returns (eps, chain lhs, chain rhs, implied measure lower bound, holds).
     """
     f._check_group(g)
     grp = f.group
     n = grp.size
-    q = parse_exponent(q)
-    if is_inf(q) or not 2 < q:
-        raise ValueError(f"q must lie in (2, inf), got {format_exponent(q)}")
+    idx = IndexTuple.of(q=q, u=u, v=v)
+    for rule in _above(2, "q") + _at_least_one("u v"):
+        why = rule(idx)
+        if why:
+            raise ValueError(why)
+    q = idx.q
     s = recip(Fraction(1, 2) - recip(q))
-    u, v = parse_exponent(u), parse_exponent(v)
-    if w is None:
-        w = recip(_clamp(recip(u) + recip(v) - 1, Fraction(0), Fraction(1, 2)))
-    else:
-        w = parse_exponent(w)
-    if r is None:
-        r = recip(Fraction(1, 2) - recip(w))
-    else:
-        r = parse_exponent(r)
-    if recip(r) + recip(w) != Fraction(1, 2):
-        raise ValueError("need 1/r + 1/w = 1/2")
+    w = recip(_clamp(recip(idx.u) + recip(idx.v) - 1, Fraction(0), Fraction(1, 2)))
+    r = recip(Fraction(1, 2) - recip(w))
 
     if isinstance(omega, np.ndarray) and omega.dtype == bool:
         if omega.shape != (n, n):
@@ -759,33 +753,15 @@ def uncertainty_check(
     else:
         mask = np.zeros((n, n), dtype=bool)
         for pt in omega:
-            if isinstance(pt, tuple) or (
-                isinstance(pt, (list, np.ndarray)) and len(pt) == 2
-            ):
-                x, xi = int(pt[0]), int(pt[1])
-            else:
-                x, xi = divmod(int(pt), n)
-            mask[x % n, xi % n] = True
+            if np.shape(pt) != (2,):
+                raise ValueError(f"omega entries must be (x, xi) pairs, got {pt!r}")
+            mask[int(pt[0]) % n, int(pt[1]) % n] = True
     if not mask.any():
         raise ValueError("omega must be nonempty")
 
     vgf = stft(f, g)
     cell = grp.haar_weight * grp.dual_weight  # product-measure atom, 1/|G|
-    ceiling = (f.l2_norm() * g.l2_norm()) ** 2
-    captured = float(np.sum(np.abs(vgf.values[mask]) ** 2) * cell)
-    if epsilon is None:
-        eps = captured
-    else:
-        eps = float(epsilon)
-        if eps > ceiling * (1 + TOLERANCE):
-            raise ValueError(
-                f"requested energy {eps} exceeds the total spectrogram"
-                f" energy {ceiling}"
-            )
-        if eps > captured * (1 + TOLERANCE):
-            raise ValueError(
-                f"omega captures only {captured}, below the requested {eps}"
-            )
+    eps = float(np.sum(np.abs(vgf.values[mask]) ** 2) * cell)
     if eps == 0:
         raise ValueError("no spectrogram energy on omega: the bound is vacuous")
 

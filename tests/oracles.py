@@ -364,3 +364,69 @@ def adaptive_gauss_oracle(
         return refine(a, mid, left, depth + 1) + refine(mid, b, right, depth + 1)
 
     return refine(lo, hi, estimate(lo, hi), 0)
+
+
+# -- the two Hardy forms, from their defining integrals in log t ------------------
+
+
+def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[float, float]:
+    """(lhs1, lhs2): the q-norms in dt/t of t^{delta-1} Phi(t) and
+    t^{1-delta} Psi(t), with Phi(t) the integral of phi over (0, t) and
+    Psi(t) that of phi(u) du/u over (t, inf), each summed over the pieces
+    of phi at every node.
+
+    In lam = log t the measure dt/t is d lam, and each piece of phi is one
+    adaptive Gauss integral.  The half-lines before the first and past the
+    last breakpoint are cut where the integrand's exponential factor has
+    fallen by e^80.  Form 1 diverges at 0 exactly when phi is positive on
+    its first piece and delta <= 0 (delta < 0 for the sup); form 2 never
+    does, as delta < 1.  For q = inf each sup is the maximum over a dense
+    geometric grid, refined three times around the argmax.
+    """
+    q = parse_exponent(q)
+    lows, highs, vals = phi.lows, phi.breaks, phi.values
+
+    def form1(t: np.ndarray) -> np.ndarray:
+        cover = np.clip(np.minimum(t[:, None], highs) - lows, 0.0, None)
+        return t ** (delta - 1) * (cover * vals).sum(axis=1)
+
+    def form2(t: np.ndarray) -> np.ndarray:
+        logs = np.clip(np.log(highs / np.maximum(t[:, None], lows)), 0.0, None)
+        return t ** (1 - delta) * (logs * vals).sum(axis=1)
+
+    head_diverges = vals[0] > 0 and (delta < 0 or (delta == 0 and q != math.inf))
+    if q == math.inf:
+
+        def sup(h: Callable[[np.ndarray], np.ndarray]) -> float:
+            grid = np.union1d(np.geomspace(highs[0] * 1e-4, highs[-1] * 1e4, 20001), highs)
+            best = 0.0
+            for _ in range(4):
+                vals_h = h(grid)
+                k = int(np.argmax(vals_h))
+                best = max(best, float(vals_h[k]))
+                grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 2001)
+            return best
+
+        return (math.inf if head_diverges else sup(form1)), sup(form2)
+
+    qf = float(q)
+    edges = np.log(highs).tolist()
+    inner = list(zip(edges, edges[1:]))
+
+    def norm(h: Callable[[np.ndarray], np.ndarray], pieces) -> float:
+        total = sum(
+            adaptive_gauss_oracle(lambda lam: h(np.exp(lam)) ** qf, lo, hi)
+            for lo, hi in pieces
+        )
+        return total ** (1 / qf)
+
+    last = edges[-1]
+    tail1 = [(last, last + 80 / (qf * (1 - delta)))]
+    head2 = [(edges[0] - 80 / (qf * (1 - delta)), edges[0])]
+    if head_diverges:
+        lhs1 = math.inf
+    else:
+        # Phi vanishes on the first piece unless phi is positive there
+        head1 = [(edges[0] - 80 / (qf * delta), edges[0])] if vals[0] > 0 else []
+        lhs1 = norm(form1, head1 + inner + tail1)
+    return lhs1, norm(form2, head2 + inner)

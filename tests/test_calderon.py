@@ -34,7 +34,12 @@ from tflab import (
 from tflab import calderon
 from tflab.verify import SAMPLE_KINDS
 
-from oracles import adaptive_gauss_oracle, calderon_exact_oracle, mult_convolution_oracle
+from oracles import (
+    adaptive_gauss_oracle,
+    calderon_exact_oracle,
+    hardy_lhs_oracle,
+    mult_convolution_oracle,
+)
 
 
 def random_step(rng: np.random.Generator, pieces: int = 4) -> StepFunction:
@@ -247,6 +252,29 @@ def test_hardy_constant_random_suite() -> None:
         for delta, q in ((0.5, 1), (0.25, 2), (-0.5, 1.5), (0.75, math.inf)):
             res = hardy_check(phi, delta, q)
             assert res.holds
+
+
+#: phi with a zero first piece (Phi starts at 1) and a zero interior piece
+HARDY_SHAPES = [
+    StepFunction([1.0, 2.0, 3.5], [0.0, 1.0, 0.4]),
+    StepFunction([0.3, 0.9, 2.0, 6.0], [2.5, 0.0, 1.0, 3.0]),
+]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, "3/2", math.inf])
+@pytest.mark.parametrize("delta", [-0.5, 0.25, 0.75])
+def test_hardy_lhs_matches_defining_integrals(delta, q) -> None:
+    rng = np.random.default_rng(19)
+    # random_step is positive on its first piece, (0, b_0]
+    for phi in HARDY_SHAPES + [random_step(rng, n) for n in (1, 3, 5, 5)]:
+        res = hardy_check(phi, delta, q)
+        want = hardy_lhs_oracle(phi, delta, q)
+        rel = 1e-6 if q == math.inf else 1e-8
+        for got, exact in zip((res.lhs1, res.lhs2), want):
+            if math.isinf(got) or math.isinf(exact):
+                assert got == exact == math.inf, (phi, got, exact)
+            else:
+                assert got == pytest.approx(exact, rel=rel), (phi, got, exact)
 
 
 def test_hardy_zero_function() -> None:

@@ -144,8 +144,8 @@ def test_calderon_custom_eta_without_band_form(capsys, workdir) -> None:
     # min(r, sqrt(s)) has no band form, so it goes through the quadrature
     code, out = run(
         capsys, "calderon", "--f", str(workdir / "step.json"),
-        "--g", str(workdir / "step.json"), "--eta", "custom",
-        "--eta-triples", "1,0,0;0,1/2,0", "--t", "0.5", "--t", "3",
+        "--g", str(workdir / "step.json"), "--eta", "1,0,0;0,1/2,0",
+        "--t", "0.5", "--t", "3",
     )
     assert code == 0
     data = json.loads(out)
@@ -155,6 +155,18 @@ def test_calderon_custom_eta_without_band_form(capsys, workdir) -> None:
     assert [entry["value"] for entry in data["values"]] == calderon_apply(
         eta, sf, sf, np.array([0.5, 3.0])
     ).tolist()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eta", "custom"],
+    ["--eta", "3e3"],
+    ["--eta", "(t2)"],
+    ["--eta", "1,0;0,1"],
+    ["--eta-triples", "1,0,0;0,1/2,0"],
+])
+def test_calderon_rejects_removed_eta_spellings(capsys, workdir, argv) -> None:
+    step = str(workdir / "step.json")
+    assert main(["calderon", "--f", step, "--g", step, "--t", "1", *argv]) == 2
 
 
 @pytest.mark.parametrize("w", [None, "2"])
@@ -307,6 +319,36 @@ def test_uncertainty_omega_measure_counts_each_cell_once(capsys, tmp_path) -> No
     assert json.loads(out)["omega_measure"] == pytest.approx(0.25)
     code, out = run(capsys, "uncertainty", "--group", "4", *files, "--q", "4")
     assert json.loads(out)["omega_measure"] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("content", [
+    [[1.0, 0.0]] * 6,
+    {"atoms": [[i, 1.0, [1.0, 0.0]] for i in range(6)]},
+    {"value": [1.0] * 6},
+])
+def test_function_file_takes_only_the_values_form(capsys, tmp_path, content) -> None:
+    path = tmp_path / "f.json"
+    write_json(str(path), content)
+    assert main(["norm", "--group", "6", "--input", str(path), "--p", "2", "--q", "1"]) == 2
+    assert '{"values": [[re, im] or x, ...]}' in capsys.readouterr().err
+
+
+def test_uncertainty_rejects_window_exponent_zero(capsys, workdir) -> None:
+    files = ("--input", str(workdir / "f.json"), "--window", str(workdir / "g.json"))
+    assert main(["uncertainty", "--group", "6", *files, "--q", "4", "--u", "0", "--v", "4"]) == 2
+    assert "u must be >= 1, got 0" in capsys.readouterr().err
+    # the default window exponents are u = v = 1
+    code, out = run(capsys, "uncertainty", "--group", "6", *files, "--q", "4")
+    assert code == 0
+    assert run(capsys, "uncertainty", "--group", "6", *files, "--q", "4",
+               "--u", "1", "--v", "1") == (code, out)
+
+
+def test_config_keys_that_name_no_flag_are_usage_errors(capsys, workdir) -> None:
+    cfg = workdir / "cfg.json"
+    write_json(str(cfg), {"group": "6", "q": "3", "trails": 3, "func": "x"})
+    assert main(["--config", str(cfg), "verify", "--theorem", "t2"]) == 2
+    assert "config keys that name no flag: ['func', 'trails']" in capsys.readouterr().err
 
 
 def test_verify_rejects_tolerance_flag(capsys) -> None:

@@ -1,4 +1,4 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke test: every script in demos/ runs to completion, warning-free."""
 
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(script: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        # tier-1 turns RuntimeWarnings into errors; the demos run under the same rule
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

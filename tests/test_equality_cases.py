@@ -8,7 +8,8 @@ Eur. J. Combin. 2006, is an equality exactly for such indicators).  With
 a closed form, which pins the theorem catalogue's exponent wiring from
 outside.  Time-frequency shifts of f and g move V_g f without changing
 |V_g f|'s distribution, so they keep the ratio.  The tau-Wigner transform
-of 1_H is flat on H x H^perp as well when tau H lies in H (derived below).
+of 1_H is flat on H x H^perp as well when tau H lies in H, and so are both
+Rihaczek forms (derived below).
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from tflab import (
     GroupFunction,
     IndexTuple,
     TheoremInstance,
+    conjugate_rihaczek,
+    rihaczek,
     tf_shift,
     wigner_tau,
 )
@@ -120,6 +123,45 @@ def test_wigner_of_subgroup_indicator_is_flat(step, weight) -> None:
             ), (t, indices)
 
 
+def _t3(p, u, v, w, conjugate_side):
+    pc = p / (p - 1)
+    pu, pv = (pc, p) if conjugate_side else (p, pc)
+    return (p / w) ** (1 / w) / ((pu / u) ** (1 / u) * (pv / v) ** (1 / v))
+
+
+#: (theorem, transform, indices, closed form of the ratio, free of mu)
+RIHACZEK_CASES = [
+    ("t3iii", rihaczek, dict(p=3, u=1, v=1, w=1), _t3(3, 1, 1, 1, False)),
+    ("t3iii", rihaczek, dict(p=4, u=1, v=2, w=2), _t3(4, 1, 2, 2, False)),
+    ("t3iv", conjugate_rihaczek, dict(p=3, u=1, v=1, w=1), _t3(3, 1, 1, 1, True)),
+    ("t3iv", conjugate_rihaczek, dict(p=4, u=1, v=2, w=2), _t3(4, 1, 2, 2, True)),
+]
+
+
+@pytest.mark.parametrize("weight", [0.5, 2.0])
+@pytest.mark.parametrize("orders, steps", SUBGROUPS)
+def test_rihaczek_of_subgroup_indicator_is_flat(orders, steps, weight) -> None:
+    """R(f, g)(x, xi) = f(x) conj<x, xi> conj g^(xi), and its conjugate
+    form is conj g(x) <x, xi> f^(xi).  For f = g = 1_H, g^ = w |H| 1_{H^perp}
+    = mu(H) 1_{H^perp}, and H = prod step_k Z_{n_k} has H^perp =
+    prod (n_k / step_k) Z_{n_k}.  So both moduli are mu(H) on H x H^perp,
+    a set of measure 1, and 0 elsewhere: the distribution of |V_{1_H} 1_H|.
+    Then ||R||_{p,w} = mu(H) (p/w)^{1/w}, and ||1_H||_{p,u} ||1_H||_{p',v}
+    = (p/u)^{1/u} (p'/v)^{1/v} mu(H), so the t3iii ratio is
+    (p/w)^{1/w} / ((p/u)^{1/u} (p'/v)^{1/v}) and t3iv swaps p and p'."""
+    grp = FiniteAbelianGroup(orders, haar_weight=weight)
+    f = _indicator(grp, steps)
+    perp = _indicator(grp, [n // step for n, step in zip(orders, steps)])
+    mu = grp.measure(math.prod(n // step for n, step in zip(orders, steps)))
+    expected = mu * np.outer(f.values.real, perp.values.real)
+    for theorem, transform, indices, closed_form in RIHACZEK_CASES:
+        modulus = np.abs(transform(f, f).values)
+        assert np.allclose(modulus, expected, rtol=1e-12, atol=1e-12 * mu), theorem
+        assert _ratio(theorem, indices, f, f) == pytest.approx(
+            closed_form, rel=1e-12
+        ), (theorem, indices)
+
+
 def test_non_subgroup_indicator_misses_closed_forms() -> None:
     # {0, 1} is not a subgroup of Z_7: |V_g f| is not flat on its support
     grp = FiniteAbelianGroup([7])
@@ -130,3 +172,6 @@ def test_non_subgroup_indicator_misses_closed_forms() -> None:
     for theorem, indices, closed_form in (CASES[1], CASES[5]):
         ratio = _ratio(theorem, indices, f, f)
         assert abs(ratio / closed_form(mu) - 1) > 1e-3, (theorem, ratio)
+    for theorem, _, indices, closed_form in RIHACZEK_CASES:
+        ratio = _ratio(theorem, indices, f, f)
+        assert abs(ratio / closed_form - 1) > 1e-3, (theorem, ratio)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from tflab import (
     weyl_norm_sample,
     wigner_tau,
 )
+from tflab.lorentz import _lorentz_norm
 from tflab.serialize import canonical_json, drop_keys, fingerprint
 import tflab.verify as verify_mod
 
@@ -396,16 +398,47 @@ def test_uncertainty_chain_holds_and_orders() -> None:
     assert 0 < bound <= len(omega) * g.haar_weight * g.dual_weight * (1 + 1e-9)
 
 
-def test_uncertainty_flat_indices_match_pairs() -> None:
+def test_uncertainty_pairs_match_mask() -> None:
     g = FiniteAbelianGroup([6])
     f, win = sample_functions("gaussian-random", g, 13)
     pairs = [(1, 2), (3, 4), (5, 0)]
-    flat = [x * 6 + xi for x, xi in pairs]
     mask = np.zeros((6, 6), dtype=bool)
     mask[tuple(np.transpose(pairs))] = True
-    expected = uncertainty_check(f, win, pairs, q=4)
-    assert uncertainty_check(f, win, flat, q=4) == expected
-    assert uncertainty_check(f, win, mask, q=4) == expected
+    expected = uncertainty_check(f, win, mask, q=4)
+    assert uncertainty_check(f, win, pairs, q=4) == expected
+    # argwhere rows are pairs too, and a pair reduces mod |G|
+    assert uncertainty_check(f, win, np.argwhere(mask), q=4) == expected
+    assert uncertainty_check(f, win, [(7, 2), (3, -2), (5, 0)], q=4) == expected
+    # a flat index x * |G| + xi is not a pair
+    with pytest.raises(ValueError, match=r"\(x, xi\) pairs, got 8"):
+        uncertainty_check(f, win, [x * 6 + xi for x, xi in pairs], q=4)
+
+
+def test_uncertainty_derives_w_and_r_from_u_and_v() -> None:
+    g = FiniteAbelianGroup([6])
+    f, win = sample_functions("gaussian-random", g, 17)
+    omega = [(0, 0), (2, 3)]
+    cell = g.haar_weight * g.dual_weight
+    ind = np.zeros(36)
+    ind[[0, 15]] = 1.0
+    # q = 4 gives s = 4; (u, v) -> (w, r) with 1/w = clamp(1/u + 1/v - 1, 0, 1/2)
+    for u, v, w, r in ((1, 1, 2, math.inf), (2, 2, math.inf, 2), ("4/3", 2, 4, 4)):
+        eps, lhs, rhs, _, _ = uncertainty_check(f, win, omega, 4, u, v)
+        want = 2 * stft(f, win).lorentz_norm(4, w) * _lorentz_norm(ind, cell, 4, r)
+        assert rhs == want, (u, v)
+        assert lhs == math.sqrt(eps)
+
+
+@pytest.mark.parametrize("u, v, message", [
+    (0, 1, "u must be >= 1, got 0"),
+    (1, "1/2", "v must be >= 1, got 1/2"),
+    (-1, 2, "u must be >= 1, got -1"),
+])
+def test_uncertainty_rejects_window_exponents_below_one(u, v, message) -> None:
+    g = FiniteAbelianGroup([6])
+    f, win = sample_functions("gaussian-random", g, 15)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        uncertainty_check(f, win, [(0, 0)], 4, u, v)
 
 
 def test_uncertainty_rejects_degenerate_requests() -> None:
@@ -414,8 +447,6 @@ def test_uncertainty_rejects_degenerate_requests() -> None:
     omega = [(0, 0)]
     with pytest.raises(ValueError):
         uncertainty_check(f, win, omega, q=2)
-    with pytest.raises(ValueError):
-        uncertainty_check(f, win, omega, q=4, epsilon=1e9)
     with pytest.raises(ValueError):
         uncertainty_check(f, win, [], q=4)
     with pytest.raises(ValueError):
