@@ -292,10 +292,17 @@ def _cmd_extremize(args: argparse.Namespace) -> int:
 def _parse_omega(spec: str, grp: FiniteAbelianGroup, seed: int) -> np.ndarray:
     """The boolean (|G|, |G|) mask of Omega; listed points reduce mod |G|."""
     n = grp.size
+    malformed = ValueError(
+        f"--omega takes 'x,xi;x,xi;...' (integers), 'all' or "
+        f"'random:<density>', got {spec!r}"
+    )
     if spec == "all":
         return np.ones((n, n), dtype=bool)
     if spec.startswith("random:"):
-        density = float(spec.split(":", 1)[1])
+        try:
+            density = float(spec.split(":", 1)[1])
+        except ValueError:
+            raise malformed from None
         if not 0 < density <= 1:
             raise ValueError(f"omega density must lie in (0, 1], got {density}")
         rng = np.random.default_rng(seed)
@@ -303,9 +310,12 @@ def _parse_omega(spec: str, grp: FiniteAbelianGroup, seed: int) -> np.ndarray:
         mask[int(rng.integers(n)), int(rng.integers(n))] = True
         return mask
     mask = np.zeros((n, n), dtype=bool)
-    for row in spec.split(";"):
-        x, xi = row.split(",")
-        mask[int(x) % n, int(xi) % n] = True
+    try:
+        for row in spec.split(";"):
+            x, xi = row.split(",")
+            mask[int(x) % n, int(xi) % n] = True
+    except ValueError:
+        raise malformed from None
     return mask
 
 

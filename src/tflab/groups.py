@@ -106,17 +106,27 @@ class FiniteAbelianGroup:
 
     # -- translates and cached arithmetic tables ----------------------------
 
-    def _translates(self, v: np.ndarray, sign: int = 1) -> np.ndarray:
-        """The (|G|, |G|) array of v(sign * x + u) at [x, u], sign = 1 or -1.
+    def _doubled(self, v: np.ndarray) -> np.ndarray:
+        """v, given in flat order, as a fresh array doubled along every axis.
 
-        v, given in flat order, is doubled along every axis, so entry
-        c + n_m along axis m repeats entry c; v(x + u) is then a view with
-        equal strides on x and u, and v(u - x) one with the x strides
-        negated.  The view is copied out: no index table is read or built.
+        Entry c + n_m along axis m repeats entry c, so v(x + u) sits at
+        coordinates x + u and v(x - u) at x - u + (n_1, ..., n_k), with no
+        reduction mod the orders: translates are read by strides or by flat
+        offsets into this array.
         """
         ext = v.reshape(self.orders)
         for axis in range(self.rank):
             ext = np.concatenate((ext, ext), axis=axis)
+        return ext
+
+    def _translates(self, v: np.ndarray, sign: int = 1) -> np.ndarray:
+        """The (|G|, |G|) array of v(sign * x + u) at [x, u], sign = 1 or -1.
+
+        v(x + u) is a view of ``_doubled(v)`` with equal strides on x and u,
+        and v(u - x) one with the x strides negated.  The view is copied
+        out: no index table is read or built.
+        """
+        ext = self._doubled(v)
         steps = ext.strides
         offset = 0 if sign == 1 else sum(n * s for n, s in zip(self.orders, steps))
         view = np.ndarray(
@@ -257,6 +267,12 @@ class GroupEndomorphism:
         if other.group.orders != self.group.orders:
             raise ValueError("cannot subtract endomorphisms of different groups")
         return GroupEndomorphism(self.group, self.matrix - other.matrix)
+
+    @cached_property
+    def complement(self) -> "GroupEndomorphism":
+        """I - self, built once: the Wigner, Weyl and dilation transforms
+        read its permutation, inverse and automorphism status on every call."""
+        return GroupEndomorphism.identity(self.group) - self
 
     @cached_property
     def _certificate(self) -> Tuple[bool, Optional["GroupEndomorphism"]]:

@@ -5,10 +5,15 @@ Every character sum sum_x h(x) conj<x, xi> runs through one engine,
 one FFT per axis, so a transform of |G| rows costs O(|G|^2 log |G|) and
 needs no dense character table (the table is read only for pointwise
 phases in the Rihaczek closed forms and ``wigner_factorization_check``).
-The translates g(y - x) and f(x + u) that ``stft``, ``wigner_tau`` and
-``weyl_operator`` gather come from ``FiniteAbelianGroup._translates``, a
-strided view of the function copied out, so no transform reads the
-|G| x |G| index tables.  Haar weights are written out at each caller so
+Each transform allocates one |G| x |G| complex array, the one it returns,
+and every later step (conjugation, products, the FFTs, the Haar scale)
+runs in place in it: ``stft`` copies the translates g(y - x) out of a
+strided view (``FiniteAbelianGroup._translates``) and works in that copy,
+and ``wigner_tau`` fills its result a block of rows at a time by flat
+offsets into f and conj g doubled along every axis
+(``FiniteAbelianGroup._doubled``).  No transform reads the |G| x |G| index
+tables.  ``weyl_operator`` also gathers its result through one flat index
+array of |G| x |G| int64.  Haar weights are written out at each caller so
 that measure-scaling tests exercise real code paths.  ``fourier`` keeps the
 literal character sum as the reference route; the independent oracles
 (inner products, point-mass assembly, table gathers) live in the tests.
@@ -169,17 +174,21 @@ class TFArray:
 # -- Fourier ---------------------------------------------------------------
 
 
-def _dft_rows(grp: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    """rows @ conj(character_table) over the trailing axis.
+def _dft_rows(grp: FiniteAbelianGroup, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows @ conj(character_table) over the trailing axis, written into out.
 
     One ``np.fft.fft`` per cyclic factor, last axis first: the loop
-    ``np.fft.fftn`` runs, without its per-call argument handling.
+    ``np.fft.fftn`` runs, without its per-call argument handling.  The first
+    FFT reads rows and writes out, the others run in out, so out may be rows
+    itself when the caller owns it; it must be C-contiguous.
     """
     lead = rows.shape[:-1]
-    out = rows.reshape(lead + grp.orders)
+    src = rows.reshape(lead + grp.orders)
+    dst = out.reshape(src.shape)
     for axis in range(len(lead) + grp.rank - 1, len(lead) - 1, -1):
-        out = np.fft.fft(out, axis=axis)
-    return out.reshape(lead + (grp.size,))
+        np.fft.fft(src, axis=axis, out=dst)
+        src = dst
+    return dst.reshape(rows.shape)
 
 
 def fourier(f: GroupFunction) -> GroupFunction:
@@ -196,7 +205,8 @@ def fourier(f: GroupFunction) -> GroupFunction:
 def fourier_fft(f: GroupFunction) -> GroupFunction:
     """f^ by the per-factor FFT; agrees with ``fourier`` within 1e-12."""
     g = f.group
-    return GroupFunction(g.dual, g.haar_weight * _dft_rows(g, f.values))
+    out = _dft_rows(g, f.values, np.empty(g.size, dtype=np.complex128))
+    return GroupFunction(g.dual, np.multiply(g.haar_weight, out, out=out))
 
 
 def tf_shift(f: GroupFunction, x: ElementLike, xi: ElementLike) -> GroupFunction:
@@ -218,8 +228,8 @@ def stft(f: GroupFunction, g: GroupFunction) -> TFArray:
     h = grp._translates(g.values, -1)
     np.conj(h, out=h)
     np.multiply(f.values, h, out=h)
-    out = _dft_rows(grp, h)
-    return TFArray(grp, np.multiply(grp.haar_weight, out, out=out))
+    _dft_rows(grp, h, h)
+    return TFArray(grp, np.multiply(grp.haar_weight, h, out=h))
 
 
 def stft_lebesgue_bound_check(
@@ -251,6 +261,10 @@ def stft_lebesgue_bound_check(
 
 # -- tau-Wigner ---------------------------------------------------------------
 
+#: entries per row block of the ``wigner_tau`` gather: its index and conj g
+#: blocks (1.5 MiB together) stay in cache and small beside a large result
+_GATHER_BLOCK = 1 << 16
+
 
 def wigner_tau(
     f: GroupFunction, g: GroupFunction, tau: GroupEndomorphism
@@ -260,13 +274,32 @@ def wigner_tau(
     grp = f.group
     if tau.group.orders != grp.orders:
         raise ValueError("endomorphism acts on a different group")
-    # A[x, y] = f(x + tau y) * conj g(x + (tau - I) y)
-    left = np.take(grp._translates(f.values), tau.permutation, axis=1)
-    tau_minus = tau - GroupEndomorphism.identity(tau.group)
-    right = np.take(grp._translates(g.values), tau_minus.permutation, axis=1)
-    np.conj(right, out=right)
-    np.multiply(left, right, out=right)
-    out = _dft_rows(grp, right)
+    # A[x, y] = f(x + tau y) * conj g(x - (I - tau) y), gathered a block of
+    # rows at a time by flat offsets into f and conj g doubled on every axis:
+    # x + u sits at at[x] + at[u], and x - u at at[x] + corner - at[u]
+    fd = grp._doubled(f.values)
+    gd = grp._doubled(g.values)
+    np.conj(gd, out=gd)
+    steps = np.array(fd.strides) // fd.itemsize
+    at = grp.elements @ steps
+    f_cols = at[tau.permutation]
+    g_cols = np.array(grp.orders) @ steps - at[tau.complement.permutation]
+    n = grp.size
+    out = np.empty((n, n), dtype=np.complex128)
+    step = max(1, _GATHER_BLOCK // n)
+    idx = np.empty((min(step, n), n), dtype=np.int64)
+    conj_g = np.empty(idx.shape, dtype=np.complex128)
+    # every offset is in range; mode "clip" lets take write straight into
+    # out, where the default mode would buffer it
+    for lo in range(0, n, step):
+        rows = out[lo : lo + step]
+        m = rows.shape[0]
+        np.add(at[lo : lo + m, None], f_cols, out=idx[:m])
+        np.take(fd, idx[:m], out=rows, mode="clip")
+        np.add(at[lo : lo + m, None], g_cols, out=idx[:m])
+        np.take(gd, idx[:m], out=conj_g[:m], mode="clip")
+        np.multiply(rows, conj_g[:m], out=rows)
+    _dft_rows(grp, out, out)
     return TFArray(grp, np.multiply(grp.haar_weight, out, out=out))
 
 
@@ -302,7 +335,7 @@ def a_tau(g: GroupFunction, tau: GroupEndomorphism) -> GroupFunction:
         raise ValueError("endomorphism acts on a different group")
     if not tau.is_automorphism:
         raise ValueError("a_tau requires tau to be an automorphism")
-    comp = GroupEndomorphism.identity(tau.group) - tau.inverse
+    comp = tau.inverse.complement
     if not comp.is_automorphism:
         raise ValueError("a_tau requires I - tau^{-1} to be an automorphism")
     return GroupFunction(grp, g.values[comp.permutation])
@@ -319,7 +352,7 @@ def stft_dilate(vgf: TFArray, tau: GroupEndomorphism) -> TFArray:
         raise ValueError("endomorphism acts on a different group")
     if not tau.is_automorphism:
         raise ValueError("stft_dilate requires tau to be an automorphism")
-    one_minus = GroupEndomorphism.identity(tau.group) - tau
+    one_minus = tau.complement
     if not one_minus.is_automorphism:
         raise ValueError("stft_dilate requires I - tau to be an automorphism")
     x_perm = one_minus.inverse.permutation
@@ -375,12 +408,11 @@ def weyl_operator(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
         raise ValueError("endomorphism acts on a different group")
     n = grp.size
     # S[x, d] = sum_xi phi(x, xi) conj<d, xi>
-    s = _dft_rows(grp, phi.values)
+    s = _dft_rows(grp, phi.values, np.empty((n, n), dtype=np.complex128))
     ids = np.arange(n, dtype=np.int64)
-    one_minus = GroupEndomorphism.identity(tau.group) - tau
     # flat index x * n + d of (x, d) = (tau a + (I - tau) b, b - a) in S
     flat = np.take(grp._translates(ids), tau.permutation, axis=0)
-    flat = np.take(flat, one_minus.permutation, axis=1)
+    flat = np.take(flat, tau.complement.permutation, axis=1)
     flat *= n
     flat += grp._translates(ids, -1)
     k = np.take(s, flat)

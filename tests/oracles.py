@@ -57,7 +57,7 @@ def stft_table_gather(f: GroupFunction, g: GroupFunction) -> TFArray:
     grp = f.group
     window = np.conj(g.values[sub_index_oracle(grp).T])
     h = f.values[None, :] * window
-    return TFArray(grp, grp.haar_weight * _dft_rows(grp, h))
+    return TFArray(grp, grp.haar_weight * _dft_rows(grp, h, h))
 
 
 def wigner_tau_table_gather(
@@ -69,7 +69,8 @@ def wigner_tau_table_gather(
     one_minus = GroupEndomorphism.identity(tau.group) - tau
     left = f.values[add_index_oracle(grp)[:, tau.permutation]]
     right = np.conj(g.values[sub_index_oracle(grp)[:, one_minus.permutation]])
-    return TFArray(grp, grp.haar_weight * _dft_rows(grp, left * right))
+    a = left * right
+    return TFArray(grp, grp.haar_weight * _dft_rows(grp, a, a))
 
 
 def weyl_operator_table_gather(phi: TFArray, tau: GroupEndomorphism) -> np.ndarray:
@@ -77,7 +78,7 @@ def weyl_operator_table_gather(phi: TFArray, tau: GroupEndomorphism) -> np.ndarr
     table at every (a, b)."""
     grp = phi.group
     sub = sub_index_oracle(grp)
-    s = _dft_rows(grp, phi.values)
+    s = _dft_rows(grp, phi.values, np.empty_like(phi.values))
     a_idx, b_idx = np.meshgrid(
         np.arange(grp.size), np.arange(grp.size), indexing="ij"
     )

@@ -321,6 +321,14 @@ def test_uncertainty_omega_measure_counts_each_cell_once(capsys, tmp_path) -> No
     assert json.loads(out)["omega_measure"] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("omega", ["1", "1,2;", "1,2,3", "a,b", "random:x"])
+def test_uncertainty_malformed_omega_names_the_forms(capsys, workdir, omega) -> None:
+    files = ("--input", str(workdir / "f.json"), "--window", str(workdir / "g.json"))
+    assert main(["uncertainty", "--group", "6", *files, "--q", "4", "--omega", omega]) == 2
+    err = capsys.readouterr().err
+    assert f"--omega takes 'x,xi;x,xi;...' (integers), 'all' or 'random:<density>', got {omega!r}" in err
+
+
 @pytest.mark.parametrize("content", [
     [[1.0, 0.0]] * 6,
     {"atoms": [[i, 1.0, [1.0, 0.0]] for i in range(6)]},

@@ -157,6 +157,14 @@ def test_endomorphism_identity_fixes_everything() -> None:
         assert m.apply(g.coords(i)) == g.coords(i)
 
 
+def test_complement_is_identity_minus_tau_built_once() -> None:
+    g = FiniteAbelianGroup([4, 6])
+    tau = GroupEndomorphism(g, [[1, 2], [3, 1]])
+    ident = GroupEndomorphism.identity(g)
+    assert np.array_equal(tau.complement.permutation, (ident - tau).permutation)
+    assert tau.complement is tau.complement
+
+
 def test_endomorphism_cyclic_doubling() -> None:
     g = FiniteAbelianGroup([5])
     m = GroupEndomorphism(g, [[2]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,6 +370,55 @@ def test_transforms_leave_character_table_unbuilt() -> None:
     f.lorentz_norm(3, 1)
     for table in ("add_index", "neg_index", "sub_index", "character_table"):
         assert table not in g.__dict__, table
+
+
+@pytest.mark.parametrize("orders, mat", [
+    ([12], [[5]]),
+    ([4, 6], [[1, 2], [0, 1]]),
+    ([2, 4, 4], [[1, 1, 0], [2, 1, 1], [0, 1, 3]]),
+])
+def test_transforms_leave_their_inputs_unwritten(orders, mat) -> None:
+    # the transforms run in place in buffers they allocate; with the inputs
+    # read-only, a stray write into one raises here
+    g = FiniteAbelianGroup(orders, haar_weight=0.5)
+    tau = GroupEndomorphism(g, mat)
+    f, h = random_function(g, 46), random_function(g, 47)
+    phi = stft(f, h)
+    for values in (f.values, h.values, phi.values):
+        values.setflags(write=False)
+    fourier_fft(f)
+    stft(f, h)
+    wigner_tau(f, h, tau)
+    k = weyl_operator(phi, tau)
+    k.setflags(write=False)
+    weyl_apply(k, f)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("stft", 1.1), ("wigner_tau", 1.5), ("weyl_operator", 2.6)
+])
+@pytest.mark.parametrize("orders", [[512], [8, 8, 8], [16, 32]])
+def test_transforms_allocate_one_result_buffer(orders, name, bound) -> None:
+    # peak traced memory of one warm call, over the result's nbytes: stft
+    # works in its one translate copy, wigner_tau adds blocks of gather index
+    # and conj g, and weyl_operator a |G| x |G| int64 gather index
+    g = FiniteAbelianGroup(orders)
+    tau = GroupEndomorphism(g, np.diag([3] * g.rank))
+    f, h = random_function(g, 48), random_function(g, 49)
+    phi = stft(f, h)
+    call = {
+        "stft": lambda: stft(f, h),
+        "wigner_tau": lambda: wigner_tau(f, h, tau),
+        "weyl_operator": lambda: weyl_operator(phi, tau),
+    }[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * phi.values.nbytes, peak / phi.values.nbytes
 
 
 def test_weyl_duality_random_triples() -> None:
