@@ -323,18 +323,20 @@ def step_halfline_functional(
     only matter where they are hit by a positive value.
     """
     lows, his, values = sf.lows, sf.breaks, sf.values
-    if not values.all():
+    if values.all():
+        values = values.copy()
+    else:
         keep = values > 0
         lows, his, values = lows[keep], his[keep], values[keep]
-    return _pieces_functional(lows, his, values, e, q)
+    return _pieces_functional(values, his, e, q, lows)
 
 
 def _pieces_functional(
-    lows: np.ndarray,
-    his: np.ndarray,
     values: np.ndarray,
+    his: np.ndarray,
     e: ExponentLike,
     q: ExponentLike,
+    lows: Optional[np.ndarray] = None,
 ) -> float:
     """The functional of :func:`step_halfline_functional` for the function
     equal to values[j] > 0 on each piece (lows[j], his[j]] and 0 elsewhere.
@@ -342,6 +344,13 @@ def _pieces_functional(
     Evaluated in closed form on all pieces at once.  The pieces run in
     order along (0, inf), so only the first touches t = 0, and none
     reaches t = inf: divergence is decided by the first piece alone.
+
+    Without ``lows`` the pieces are contiguous from 0: ``his`` holds 0 and
+    then the right end of every piece, so piece j is (his[j], his[j+1]],
+    and ``his`` is raised to its power once, in place.  With ``lows`` the
+    pieces may leave gaps, so both ends are raised to the power, into new
+    arrays.  ``values`` is divided by its largest entry in place; both
+    overwritten arrays must be buffers the caller gives up.
     """
     e = parse_exponent(e)
     q = parse_exponent(q)
@@ -353,23 +362,32 @@ def _pieces_functional(
     scale = float(values.max())
     if math.isinf(scale):
         return scale
-    values = values / scale
-    if lows[0] == 0 and (ef < 0 or (ef == 0 and not is_inf(q))):
+    values /= scale
+    first = his[0] if lows is None else lows[0]
+    if first == 0 and (ef < 0 or (ef == 0 and not is_inf(q))):
         return math.inf
     if is_inf(q):
         if ef == 0:
             return scale
-        ends = (his if ef > 0 else lows) ** ef
-        return scale * float(np.max(np.multiply(values, ends, out=ends)))
+        if lows is None:
+            # ef > 0: contiguous pieces start at 0, so ef < 0 diverged above
+            ends = np.power(his, ef, out=his)[1:]
+        else:
+            ends = (his if ef > 0 else lows) ** ef
+        return scale * float(np.max(np.multiply(values, ends, out=values)))
     qf = as_float(q)
     a = ef * qf
-    # one buffer for the pieces and one for the values, each reused in place
+    # one new buffer for the pieces, the values overwritten in place
     if a == 0:
         pieces = np.divide(his, lows)
         np.log(pieces, out=pieces)
     else:
-        pieces = his**a
-        pieces -= lows**a
+        if lows is None:
+            np.power(his, a, out=his)
+            pieces = his[1:] - his[:-1]
+        else:
+            pieces = his**a
+            pieces -= lows**a
         pieces /= a
     np.power(values, qf, out=values)
     total = float(np.sum(np.multiply(values, pieces, out=pieces)))
@@ -405,10 +423,13 @@ def _lorentz_norm(
     """:func:`lorentz_norm` of the atoms with magnitudes ``mags`` and
     weights ``weights``, a scalar when every atom has the same weight.
 
-    With one weight the magnitudes alone are sorted, in place, so ``mags``
-    must be a buffer the caller gives up; the running sums of the weight
-    then have the same bits as those of a gathered array of equal weights.
-    Unequal weights follow the magnitudes through one unstable argsort.
+    With one weight the magnitudes alone are sorted and then scaled, in
+    place, so ``mags`` must be a buffer the caller gives up; the running
+    sums of the weight then have the same bits as those of a gathered array
+    of equal weights.  Unequal weights follow the magnitudes through one
+    unstable argsort, into a new array.  Either way one more buffer holds 0
+    and the running sums, the ends of the pieces of f*, and is raised to
+    its power in place.
     """
     p = parse_exponent(p)
     if not is_inf(p) and p <= 0:
@@ -418,14 +439,16 @@ def _lorentz_norm(
         # ascending, NaNs last: the positive magnitudes, largest first
         lo, hi = mags.searchsorted(_ZERO_INF, "right")
         values = mags[lo:hi][::-1]
-        totals = np.broadcast_to(weights, values.shape).cumsum()
+        weights = np.broadcast_to(weights, values.shape)
     else:
         # descending; zeros and NaNs sort after every positive magnitude
         order = np.argsort(-mags)[: np.count_nonzero(mags > 0)]
         values = mags[order]
-        totals = np.cumsum(weights[order])
-    lows = np.concatenate(([0.0], totals))[:-1]
-    return _pieces_functional(lows, totals, values, recip(p), q)
+        weights = weights[order]
+    ends = np.empty(values.size + 1)
+    ends[0] = 0.0
+    np.cumsum(weights, out=ends[1:])
+    return _pieces_functional(values, ends, recip(p), q)
 
 
 def lorentz_norm_via_distribution(

@@ -14,6 +14,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from typing import Any, Sequence
@@ -46,21 +47,31 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+#: One atom of a function's atom list
+_ATOM = "[%d,%.17g,[%.17g,%.17g]]"
+#: What ``%.17g`` prints for a non-finite float
+_NON_FINITE = re.compile(r"-?inf|nan")
+
+
 def _write_measured(mf: MeasuredFunction, out: io.StringIO) -> None:
-    """The bytes of ``_write(mf.to_json())``, from one join over the atoms."""
-    fmt = _format_float
+    """The bytes of ``_write(mf.to_json())``, from one %-format over the
+    interleaved columns of all the atoms.
+
+    ``%.17g`` prints a finite float as :func:`_format_float` does.  Only inf
+    and nan print an ``n``, and only they are quoted in canonical JSON, so
+    text with an ``n`` gets its non-finite values quoted.
+    """
+    n = len(mf)
+    cols = [None] * (4 * n)
+    cols[0::4] = mf.ids.tolist()
+    cols[1::4] = mf.weights.tolist()
+    cols[2::4] = mf.values.real.tolist()
+    cols[3::4] = mf.values.imag.tolist()
+    text = ",".join([_ATOM] * n) % tuple(cols)
+    if "n" in text:
+        text = _NON_FINITE.sub(r'"\g<0>"', text)
     out.write('{"atoms":[')
-    out.write(
-        ",".join(
-            f"[{i},{fmt(w)},[{fmt(re)},{fmt(im)}]]"
-            for i, w, re, im in zip(
-                mf.ids.tolist(),
-                mf.weights.tolist(),
-                mf.values.real.tolist(),
-                mf.values.imag.tolist(),
-            )
-        )
-    )
+    out.write(text)
     out.write('],"domain":')
     _write(mf.domain, out)
     out.write("}")

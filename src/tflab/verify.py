@@ -287,7 +287,14 @@ _YOUNG = _need(
 
 
 def _random_values(rng: np.random.Generator, n: int) -> np.ndarray:
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)
+    """n complex Gaussians (x + i y) / sqrt(2): all the x drawn first, then all
+    the y, written into one complex buffer and scaled there."""
+    values = np.empty(n, dtype=np.complex128)
+    values.real = rng.standard_normal(n)
+    values.imag = rng.standard_normal(n)
+    # a complex division, as (x + 1j * y) / sqrt(2) takes it, for the same bits
+    values /= math.sqrt(2)
+    return values
 
 
 def _random_indicator(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -767,7 +774,7 @@ def uncertainty_check(
 
     chain_lhs = math.sqrt(eps)
     vnorm = vgf.lorentz_norm(q, w)
-    ind_norm = _lorentz_norm(mask.reshape(-1).astype(np.float64), cell, s, r)
+    ind_norm = _lorentz_norm(np.ones(np.count_nonzero(mask)), cell, s, r)
     chain_rhs = 2 * vnorm * ind_norm
     c_sr = 1.0 if is_inf(r) else as_float(s / r) ** as_float(recip(r))
     bound = (chain_lhs / (2 * vnorm * c_sr)) ** as_float(s) if vnorm else 0.0

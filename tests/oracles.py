@@ -8,7 +8,7 @@ library assembles it with.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from tflab import (
     MeasuredFunction,
     StepFunction,
     TFArray,
+    as_float,
+    is_inf,
     parse_exponent,
     rearrangement,
     recip,
@@ -121,6 +123,57 @@ def lorentz_norm_via_rearrangement(
     """||f||_{p,q} as the half-line functional of f*, p, q in (0, inf]:
     tied magnitudes are merged into one piece before any power is taken."""
     return step_halfline_functional(rearrangement(f), recip(parse_exponent(p)), q)
+
+
+# -- the Lorentz norm with both ends of every piece raised to the power ---------
+
+
+def pieces_functional_two_power(
+    lows: np.ndarray, his: np.ndarray, values: np.ndarray, e: ExponentLike, q: ExponentLike
+) -> float:
+    """{ integral of (t**e * h(t))**q dt/t }**(1/q), sup form when q = inf,
+    for h equal to values[j] > 0 on (lows[j], his[j]]: the pieces are taken
+    as his**a - lows**a, from one power pass over each end.  Reads its
+    arrays without writing them."""
+    e, q = parse_exponent(e), parse_exponent(q)
+    ef = as_float(e)
+    if not values.size:
+        return 0.0
+    scale = float(values.max())
+    if math.isinf(scale):
+        return scale
+    values = values / scale
+    if lows[0] == 0 and (ef < 0 or (ef == 0 and not is_inf(q))):
+        return math.inf
+    if is_inf(q):
+        if ef == 0:
+            return scale
+        return scale * float(np.max(values * (his if ef > 0 else lows) ** ef))
+    qf = as_float(q)
+    a = ef * qf
+    if a == 0:
+        pieces = np.log(his / lows)
+    else:
+        pieces = (his**a - lows**a) / a
+    total = float(np.sum(values**qf * pieces))
+    if math.isinf(total):
+        return math.inf
+    return scale * total ** (1.0 / qf)
+
+
+def lorentz_norm_two_power(
+    mags: np.ndarray, weights: Union[float, np.ndarray], p: ExponentLike, q: ExponentLike
+) -> float:
+    """||.||_{p,q} of atoms with magnitudes ``mags`` and weights ``weights``
+    (a scalar for one weight), p, q in (0, inf]: the positive magnitudes
+    sorted largest first (the library's argsort, so that unequal weights
+    are summed in its order), their running weight sums T_j as the right
+    ends and a shifted copy (0, T_1, ..., T_{n-1}) as the left ends."""
+    p = parse_exponent(p)
+    order = np.argsort(-mags)[: np.count_nonzero(mags > 0)]
+    totals = np.cumsum(np.broadcast_to(weights, mags.shape)[order])
+    lows = np.concatenate(([0.0], totals))[:-1]
+    return pieces_functional_two_power(lows, totals, mags[order], recip(p), q)
 
 
 # -- the multiplicative convolution, one pair of pieces at a time ---------------
@@ -431,3 +484,11 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
         head1 = [(edges[0] - 80 / (qf * delta), edges[0])] if vals[0] > 0 else []
         lhs1 = norm(form1, head1 + inner + tail1)
     return lhs1, norm(form2, head2 + inner)
+
+
+# -- random samples ---------------------------------------------------------------
+
+
+def random_values_oracle(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n complex Gaussians (x + i y) / sqrt(2), as one array expression."""
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2)

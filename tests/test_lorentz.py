@@ -10,7 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import lorentz_norm_via_rearrangement
+from oracles import (
+    lorentz_norm_two_power,
+    lorentz_norm_via_rearrangement,
+    pieces_functional_two_power,
+)
 from tflab import (
     FiniteAbelianGroup,
     GroupFunction,
@@ -27,9 +31,11 @@ from tflab import (
     power_integral,
     power_sup,
     rearrangement,
+    recip,
     step_halfline_functional,
     tensor_product,
 )
+from tflab.lorentz import _lorentz_norm
 
 finite_values = st.lists(
     st.floats(min_value=-20, max_value=20, allow_nan=False), min_size=1, max_size=12
@@ -394,6 +400,47 @@ def test_one_weight_route_matches_measured_route(h, p, q) -> None:
         assert a == (sup if q == math.inf else math.inf if sup else 0.0)
     else:
         assert a == pytest.approx(lorentz_norm_via_distribution(f, p, q), rel=1e-12, abs=0)
+
+
+_TIES = np.array([3, -3, 3j, 1, 1, -1j, 1, 0.5, 0.5])
+_GAUSSIAN = np.random.default_rng(23).standard_normal(40) * np.exp(
+    2j * np.pi * np.arange(40) / 7
+)
+_TWO_POWER_INPUTS = (
+    _GAUSSIAN,
+    _TIES,
+    np.array([0, 2, 0, 5, -5j, 0, 2, 0]),
+    np.zeros(6),
+    np.array([2j]),
+    1e150 * _GAUSSIAN,
+    1e-150 * _TIES,
+)
+# zero pieces between positive ones, and a first positive piece away from 0
+_GAPPED_STEPS = (
+    StepFunction([0.5, 1.0, 2.0, 3.0], [2.0, 0.0, 1.0, 0.5]),
+    StepFunction([0.5, 1.5, 4.0], [0.0, 3.0, 3.0]),
+)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), 1, 2, 4, math.inf])
+@pytest.mark.parametrize("p", [Fraction(1, 2), 1, Fraction(8, 3), 3, math.inf])
+def test_norm_routes_match_two_power_form(p, q) -> None:
+    # both _lorentz_norm routes raise 0 and the running sums to their power
+    # once, in place; step_halfline_functional keeps both ends of each piece
+    for values in _TWO_POWER_INPUTS:
+        mags = np.abs(values)
+        weights = np.random.default_rng(values.size).uniform(0.1, 2.0, values.size)
+        for w in (0.37, weights):
+            assert _lorentz_norm(mags.copy(), w, p, q) == lorentz_norm_two_power(mags, w, p, q)
+        fstar = rearrangement(MeasuredFunction(np.arange(values.size), weights, values))
+        for sf in (fstar,) + _GAPPED_STEPS:
+            keep = sf.values > 0
+            pieces = sf.lows[keep], sf.breaks[keep], sf.values[keep]
+            before = sf.values.copy()
+            for e in (recip(p), 0, Fraction(-1, 2), 2):
+                got = step_halfline_functional(sf, e, q)
+                assert got == pieces_functional_two_power(*pieces, e, q), (e, sf)
+            assert np.array_equal(sf.values, before)
 
 
 def test_lorentz_norm_rejects_nonpositive_exponents() -> None:

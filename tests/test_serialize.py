@@ -9,21 +9,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tflab import (
+    FiniteAbelianGroup,
     IndexTuple,
     MeasuredFunction,
     TheoremInstance,
     canonical_json,
     fingerprint,
     load_json,
+    sample_functions,
     verify_theorem,
     write_csv,
     write_json,
 )
 from tflab.serialize import VOLATILE_KEYS, drop_keys, report_csv
+from tflab.verify import SAMPLE_KINDS
 
 json_scalars = st.one_of(
     st.none(),
@@ -171,8 +174,31 @@ def measured_functions(draw) -> MeasuredFunction:
     return MeasuredFunction(ids, weights, values, domain)
 
 
+def _large_functions():
+    """256-atom functions of every sample kind on Z_4 x Z_8 x Z_8, then the
+    gaussian one with only its last imaginary part made non-finite, so that
+    the writer falls back after formatting every atom."""
+    grp = FiniteAbelianGroup([4, 8, 8])
+    mfs = [sample_functions(kind, grp, 3)[0].to_measured() for kind in SAMPLE_KINDS]
+    for bad in (math.nan, math.inf, -math.inf):
+        values = mfs[0].values.copy()
+        values[-1] = complex(values[-1].real, bad)
+        mfs.append(MeasuredFunction(mfs[0].ids, mfs[0].weights, values, mfs[0].domain))
+    return mfs
+
+
+_LARGE = _large_functions()
+
+
 @settings(max_examples=150, deadline=None)
 @given(measured_functions())
+@example(_LARGE[0])
+@example(_LARGE[1])
+@example(_LARGE[2])
+@example(_LARGE[3])
+@example(_LARGE[4])
+@example(_LARGE[5])
+@example(_LARGE[6])
 def test_atom_list_writer_same_bytes(mf) -> None:
     expected = canonical_json(old_style_json(mf))
     assert canonical_json(mf) == expected

@@ -421,6 +421,25 @@ def test_transforms_allocate_one_result_buffer(orders, name, bound) -> None:
     assert peak <= bound * phi.values.nbytes, peak / phi.values.nbytes
 
 
+@pytest.mark.parametrize("q", [4, math.inf])
+@pytest.mark.parametrize("orders", [[16, 16], [256]])
+def test_lorentz_norm_allocates_three_magnitude_buffers(orders, q) -> None:
+    # peak traced memory of one warm one-weight norm, over the nbytes of
+    # |values|: the magnitudes (sorted and scaled in place), 0 and the running
+    # weight sums (raised to their power in place) and, for finite q, the pieces
+    g = FiniteAbelianGroup(orders)
+    phi = stft(random_function(g, 50), random_function(g, 51))
+    phi.lorentz_norm(3, q)
+    tracemalloc.start()
+    try:
+        phi.lorentz_norm(3, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mag_bytes = np.abs(phi.values).nbytes
+    assert peak <= 3.1 * mag_bytes, peak / mag_bytes
+
+
 def test_weyl_duality_random_triples() -> None:
     g = FiniteAbelianGroup([6])
     rng = np.random.default_rng(39)

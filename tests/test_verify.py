@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import random_values_oracle
 from tflab import (
     BASELINE_GRID,
     ETA_SEPARABLE,
@@ -415,18 +416,36 @@ def test_uncertainty_pairs_match_mask() -> None:
 
 
 def test_uncertainty_derives_w_and_r_from_u_and_v() -> None:
-    g = FiniteAbelianGroup([6])
-    f, win = sample_functions("gaussian-random", g, 17)
-    omega = [(0, 0), (2, 3)]
-    cell = g.haar_weight * g.dual_weight
-    ind = np.zeros(36)
-    ind[[0, 15]] = 1.0
-    # q = 4 gives s = 4; (u, v) -> (w, r) with 1/w = clamp(1/u + 1/v - 1, 0, 1/2)
-    for u, v, w, r in ((1, 1, 2, math.inf), (2, 2, math.inf, 2), ("4/3", 2, 4, 4)):
-        eps, lhs, rhs, _, _ = uncertainty_check(f, win, omega, 4, u, v)
-        want = 2 * stft(f, win).lorentz_norm(4, w) * _lorentz_norm(ind, cell, 4, r)
-        assert rhs == want, (u, v)
-        assert lhs == math.sqrt(eps)
+    # the listed region on Z_6, then a random mask on Z_8 x Z_8; the indicator
+    # norm is pinned to the norm of the float mask
+    mask6 = np.zeros((6, 6), dtype=bool)
+    mask6[0, 0] = mask6[2, 3] = True
+    mask64 = np.random.default_rng(18).random((64, 64)) < 0.3
+    cases = (
+        (FiniteAbelianGroup([6]), 17, [(0, 0), (2, 3)], mask6),
+        (FiniteAbelianGroup([8, 8]), 19, mask64, mask64),
+    )
+    for g, seed, omega, mask in cases:
+        f, win = sample_functions("gaussian-random", g, seed)
+        cell = g.haar_weight * g.dual_weight
+        # q = 4 gives s = 4; (u, v) -> (w, r) with 1/w = clamp(1/u + 1/v - 1, 0, 1/2)
+        for u, v, w, r in ((1, 1, 2, math.inf), (2, 2, math.inf, 2), ("4/3", 2, 4, 4)):
+            eps, lhs, rhs, _, _ = uncertainty_check(f, win, omega, 4, u, v)
+            ind = mask.reshape(-1).astype(np.float64)
+            want = 2 * stft(f, win).lorentz_norm(4, w) * _lorentz_norm(ind, cell, 4, r)
+            assert rhs == want, (g, u, v)
+            assert lhs == math.sqrt(eps)
+
+
+@pytest.mark.parametrize("n", [1, 6, 65536])
+def test_random_values_match_one_array_expression(n) -> None:
+    # the in-place fill draws in the same order and leaves the generator at
+    # the same state as (x + 1j * y) / sqrt(2)
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    got, want = verify_mod._random_values(rng, n), random_values_oracle(ref, n)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 @pytest.mark.parametrize("u, v, message", [
