@@ -66,9 +66,12 @@ __all__ = [
 
 _NEG_INF = -math.inf
 
-#: Largest number of t values the corner-form evaluator takes at once; its
-#: temporaries hold (block, branches, f* corners, g* corners) floats.
-_T_BLOCK = 32
+#: Most (t, branch, f* corner, g* corner) cells in one pass of the
+#: corner-form evaluator, which takes as many t values per pass as fit, and at
+#: least one.  2^14 cells, 128 KiB per float temporary, is the measured knee:
+#: smaller passes pay more per-pass overhead, larger ones leave the cache.
+#: The budget is also what bounds the evaluator's memory on a large group.
+_CORNER_CELLS = 1 << 14
 
 #: Largest number of subintervals whose Gauss nodes the adaptive integrator
 #: hands its integrand at once.
@@ -632,8 +635,9 @@ def _calderon_corners(
     a4, b4 = a[None, :, None, None], b[None, :, None, None]
     split = (q[None, :] - p[:, None])[None, None]
     out = np.empty(ts.size)
-    for start in range(0, ts.size, _T_BLOCK):
-        log_t = np.log(ts[start:start + _T_BLOCK])
+    block = max(1, _CORNER_CELLS // max(1, a.size * weight.size))
+    for start in range(0, ts.size, block):
+        log_t = np.log(ts[start:start + block])
         # branch k is the line b_k e + d_k in e, with d_k = -c_k log t
         icpt = np.multiply.outer(log_t, -c)
         lo, hi = _branch_intervals(b, icpt)

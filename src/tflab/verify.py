@@ -768,12 +768,14 @@ def uncertainty_check(
 
     vgf = stft(f, g)
     cell = grp.haar_weight * grp.dual_weight  # product-measure atom, 1/|G|
-    eps = float(np.sum(np.abs(vgf.values[mask]) ** 2) * cell)
+    mags = np.abs(vgf.values)
+    eps = float(np.sum(mags[mask] ** 2) * cell)
     if eps == 0:
         raise ValueError("no spectrogram energy on omega: the bound is vacuous")
 
     chain_lhs = math.sqrt(eps)
-    vnorm = vgf.lorentz_norm(q, w)
+    # sorts mags in place, so it comes after eps
+    vnorm = _lorentz_norm(mags.ravel(), cell, q, w)
     ind_norm = _lorentz_norm(np.ones(np.count_nonzero(mask)), cell, s, r)
     chain_rhs = 2 * vnorm * ind_norm
     c_sr = 1.0 if is_inf(r) else as_float(s / r) ** as_float(recip(r))

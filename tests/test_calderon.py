@@ -4,6 +4,7 @@ Calderon-type bilinear operators on the half line."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from tflab import (
     young_check,
 )
 from tflab import calderon
-from tflab.verify import SAMPLE_KINDS
+from tflab.verify import SAMPLE_KINDS, majorization_check
 
 from oracles import (
     adaptive_gauss_oracle,
@@ -457,7 +458,8 @@ def test_corner_form_error_grows_as_inverse_piece_width() -> None:
 
 
 def test_calderon_apply_array_matches_scalar_calls() -> None:
-    # 100 values of t span several evaluation blocks
+    # the 100 values of t fit in one pass of the evaluator, a scalar t is a
+    # pass of its own
     rng = np.random.default_rng(10)
     f, g = random_step(rng, 7), random_monotone_step(rng, 5)
     ts = np.geomspace(1e-3, 1e3, 100)
@@ -466,6 +468,86 @@ def test_calderon_apply_array_matches_scalar_calls() -> None:
         assert got.shape == ts.shape
         assert got.tolist() == [calderon_apply(eta, f, g, float(t)) for t in ts]
     assert calderon_apply(ETA_SQRT_MIN, f, g, np.array([])).shape == (0,)
+
+
+def corner_values_at_each_budget(monkeypatch, compute) -> list:
+    """compute() with the evaluator taking one t per pass, its default cell
+    budget, and every t in one pass."""
+    runs = []
+    for cells in (1, calderon._CORNER_CELLS, 2**30):
+        monkeypatch.setattr(calderon, "_CORNER_CELLS", cells)
+        runs.append(compute())
+    monkeypatch.undo()
+    return runs
+
+
+@pytest.mark.parametrize("orders", [[6], [12]])
+@pytest.mark.parametrize("kind", SAMPLE_KINDS)
+def test_corner_form_same_bits_at_any_block_size(monkeypatch, orders, kind) -> None:
+    # every cell is computed elementwise and every sum runs over one t's
+    # own axes, so how the t values are split into passes changes no bit
+    f, g = sample_functions(kind, FiniteAbelianGroup(orders), 4)
+    fstar, gstar = (rearrangement(h.to_measured().abs()) for h in (f, g))
+    ts = np.geomspace(1e-4, 1e4, 97)
+
+    def compute() -> list:
+        return [
+            *calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts).tolist(),
+            *calderon_apply(ETA_SEPARABLE, fstar, gstar, ts).tolist(),
+            calderon_t_functional(fstar, gstar, 4, 2),
+            calderon_t_functional(fstar, gstar, 3, math.inf),
+            majorization_check(f, g),
+        ]
+
+    first, *others = corner_values_at_each_budget(monkeypatch, compute)
+    assert all(other == first for other in others)
+
+
+def test_corner_form_same_bits_at_any_block_size_edge_cases(monkeypatch) -> None:
+    # S = inf where f*(0+) > 0 under a kernel that does not decay as r -> 0
+    # or s -> 0, two of them with every a_k = b_k = 0 (m = 0), and the
+    # rearrangement of the zero function, which has no pieces
+    f = StepFunction([1.0, 2.0], [0.0, 1.0])
+    one = StepFunction([1.0], [1.0], monotone=True)
+    zero = rearrangement(MeasuredFunction.from_values([0.0, 0.0]))
+    assert len(zero) == 0
+    kernels = (
+        EtaSet([(0, 0, 0)]),
+        EtaSet([(0, 0, 0), (0, 0, "1/2")]),
+        EtaSet([(1, 0, 0)]),
+        ETA_SQRT_MIN,
+        ETA_SEPARABLE,
+    )
+    ts = np.geomspace(1e-3, 1e3, 41)
+
+    def compute() -> list:
+        out = []
+        for eta in kernels:
+            for fstar, gstar in ((f, one), (one, f), (zero, one), (f, f)):
+                out += calderon_apply(eta, fstar, gstar, ts).tolist()
+        out.append(calderon_t_functional(zero, one, 4, 2))
+        return out
+
+    first, *others = corner_values_at_each_budget(monkeypatch, compute)
+    assert all(other == first for other in others)
+    assert math.inf in first and 0.0 in first
+
+
+def test_corner_form_memory_bounded_by_cell_budget() -> None:
+    # 64 pieces each on Z_64: a pass of 32 t would make each temporary of
+    # the evaluator 32 * 3 * 64 * 64 floats (3 MiB); the budget allows one t
+    f, g = sample_functions("gaussian-random", FiniteAbelianGroup([64]), 2)
+    fstar, gstar = (rearrangement(h.to_measured().abs()) for h in (f, g))
+    assert len(fstar) == len(gstar) == 64
+    ts = np.geomspace(1e-3, 1e3, 200)
+    calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts)
+    tracemalloc.start()
+    try:
+        calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak / 2**20
 
 
 # -- the adaptive integrator ----------------------------------------------------------
