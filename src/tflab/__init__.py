@@ -16,13 +16,11 @@ from .calderon import (
     HardyResult,
     PiecewiseMonomial,
     calderon_apply,
-    calderon_estimate_check,
     calderon_separable_value,
     calderon_t_functional,
     convolution_norm,
     halfline_lorentz_functional,
     hardy_check,
-    mult_convolution,
     young_check,
 )
 from .exponents import (
@@ -44,7 +42,6 @@ from .lorentz import (
     MeasuredFunction,
     StepFunction,
     distribution,
-    double_star,
     embedding_check,
     embedding_constant,
     holder_check,
@@ -91,7 +88,6 @@ from .verify import (
     sample_functions,
     uncertainty_check,
     verify_theorem,
-    weyl_norm_sample,
 )
 
 __version__ = "0.1.0"

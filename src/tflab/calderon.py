@@ -32,18 +32,14 @@ from .exponents import (
     Exponent,
     ExponentLike,
     as_float,
-    conjugate,
     is_inf,
     parse_exponent,
     recip,
 )
 from .lorentz import (
-    MeasuredFunction,
     StepFunction,
-    lorentz_norm,
     power_integral,
     power_sup,
-    rearrangement,
     step_halfline_functional,
 )
 
@@ -51,7 +47,6 @@ __all__ = [
     "EtaSet",
     "ETA_SQRT_MIN",
     "ETA_SEPARABLE",
-    "mult_convolution",
     "convolution_norm",
     "young_check",
     "HardyResult",
@@ -61,7 +56,6 @@ __all__ = [
     "PiecewiseMonomial",
     "halfline_lorentz_functional",
     "calderon_t_functional",
-    "calderon_estimate_check",
 ]
 
 _NEG_INF = -math.inf
@@ -157,41 +151,13 @@ ETA_SEPARABLE = EtaSet([("1/2", "1/2", "1/2"), ("1/2", "1/2", 0)])
 # -- multiplicative convolution on (R_+, dt/t) -------------------------------
 
 
-def _corner_products(f: StepFunction, g: StepFunction) -> Tuple[np.ndarray, np.ndarray]:
-    """(log pi, omega) over the pairs of corners with a nonzero weight.
-
-    With f = sum_i df_i 1_(0, b_i] and g = sum_j dg_j 1_(0, c_j] (df and dg
-    the jumps), the product pi = b_i c_j carries the weight omega = df_i dg_j.
-    Pairs of weight zero are dropped, so every product left is at least
-    l_f l_g, the product of the left ends of the two supports.
-    """
-    log_pi = np.add.outer(np.log(f.breaks), np.log(g.breaks)).ravel()
-    omega = np.multiply.outer(f.jumps, g.jumps).ravel()
-    keep = omega != 0
-    return log_pi[keep], omega[keep]
-
-
-def mult_convolution(f: StepFunction, g: StepFunction, x: float) -> float:
-    """(f * g)(x) = integral of f(y) g(x/y) dy/y, in corner form.
-
-    1_(0, b] * 1_(0, c] = log(bc / x)_+, so f * g(x) is the sum of
-    omega log(pi / x)_+ over the products of corners.  It is exactly 0 for
-    x <= l_f l_g and for x past the last product.  The sum is accurate to
-    about 1e-14 sup f sup g; a piece of relative width d contributes about
-    d sup f sup g, so where it dominates the relative error is about 1e-14/d.
-    """
-    if x <= 0:
-        raise ValueError(f"convolution argument must be positive, got {x}")
-    log_pi, omega = _corner_products(f, g)
-    # the weights cancel below l_f l_g, up to rounding
-    if not omega.size or x <= math.prod(sf.lows[sf.values > 0][0] for sf in (f, g)):
-        return 0.0
-    return float(np.sum(omega * np.maximum(log_pi - math.log(x), 0.0)))
-
-
 def convolution_norm(f: StepFunction, g: StepFunction, w: ExponentLike) -> float:
     """||f * g||_{L^w(R_+, dx/x)}, exact on the cells between corner products.
 
+    With f = sum_i df_i 1_(0, b_i] and g = sum_j dg_j 1_(0, c_j] (df and dg
+    the jumps), the product pi = b_i c_j carries the weight omega = df_i dg_j;
+    pairs of weight zero are dropped, so every product left is at least
+    l_f l_g, the product of the left ends of the two supports.
     With the products pi_k sorted, f * g is affine in log x on each cell
     (pi_{k-1}, pi_k), with slope minus the sum of omega over the products
     above the cell.  Summing those slopes down from the last product, where
@@ -207,7 +173,10 @@ def convolution_norm(f: StepFunction, g: StepFunction, w: ExponentLike) -> float
     w = parse_exponent(w)
     if not is_inf(w) and w < 1:
         raise ValueError(f"exponent w must lie in [1, inf], got {w}")
-    log_pi, omega = _corner_products(f, g)
+    log_pi = np.add.outer(np.log(f.breaks), np.log(g.breaks)).ravel()
+    omega = np.multiply.outer(f.jumps, g.jumps).ravel()
+    keep = omega != 0
+    log_pi, omega = log_pi[keep], omega[keep]
     if not omega.size:
         return 0.0
     order = np.argsort(log_pi)
@@ -974,36 +943,3 @@ def calderon_t_functional(
     interior = sum(parts.tolist())
     return (head + interior + tail) ** (1.0 / wf)
 
-
-def calderon_estimate_check(
-    q: ExponentLike,
-    p: ExponentLike,
-    u: ExponentLike,
-    v: ExponentLike,
-    w: ExponentLike,
-    f: MeasuredFunction,
-    g: MeasuredFunction,
-) -> Tuple[float, float, float]:
-    """The sqrt-min kernel functional against ||f||_{p',u} ||g||_{p,v}.
-
-    Index constraints: q in (2, inf], p in [q', q] with p != 2, and
-    1/u + 1/v = 1 + 1/w.  Returns (lhs, rhs, ratio) for empirical-constant
-    tracking; no specific constant is asserted.
-    """
-    q, p = parse_exponent(q), parse_exponent(p)
-    u, v, w = parse_exponent(u), parse_exponent(v), parse_exponent(w)
-    if not is_inf(q) and q <= 2:
-        raise ValueError(f"q must lie in (2, inf], got {q}")
-    qc = conjugate(q)
-    below = is_inf(q) or (not is_inf(p) and p <= q)
-    if not (below and qc <= p):
-        raise ValueError(f"p must lie in [q', q] = [{qc}, {q}], got {p}")
-    if p == 2:
-        raise ValueError("p = 2 is excluded")
-    if recip(u) + recip(v) != 1 + recip(w):
-        raise ValueError(f"need 1/u + 1/v = 1 + 1/w, got u={u}, v={v}, w={w}")
-    lhs = calderon_t_functional(rearrangement(f), rearrangement(g), q, w)
-    rhs = lorentz_norm(f, conjugate(p), u) * lorentz_norm(g, p, v)
-    if rhs == 0:
-        return lhs, rhs, 0.0 if lhs == 0 else math.inf
-    return lhs, rhs, lhs / rhs

@@ -11,6 +11,7 @@ environment variable supplies the seed when neither flag nor config does.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -74,17 +75,34 @@ def _fail(message: str) -> int:
     return 2
 
 
+def _read_json(path: str) -> Any:
+    try:
+        return load_json(path)
+    except ValueError as exc:  # json.JSONDecodeError
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _is_real(x: Any) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _load_values(path: str, n: int) -> np.ndarray:
     """Complex values from a function file {"values": [...]}, each entry
     [re, im] or a real number."""
-    obj = load_json(path)
+    obj = _read_json(path)
     if not (isinstance(obj, dict) and isinstance(obj.get("values"), list)):
         raise ValueError(
             f'{path}: expected a function file {{"values": [[re, im] or x, ...]}}'
         )
-    values = np.array(
-        [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in obj["values"]]
-    )
+    entries = obj["values"]
+    for k, c in enumerate(entries):
+        pair = isinstance(c, list) and len(c) == 2 and all(map(_is_real, c))
+        if not (pair or _is_real(c)):
+            raise ValueError(
+                f"{path}: values[{k}] must be [re, im] or a real number,"
+                f" got {json.dumps(c)}"
+            )
+    values = np.array([complex(*c) if isinstance(c, list) else complex(c) for c in entries])
     if values.size != n:
         raise ValueError(
             f"{path}: expected {n} values for the group, found {values.size}"
@@ -97,7 +115,7 @@ def _dump_values(values: np.ndarray) -> dict:
 
 
 def _load_step(path: str) -> StepFunction:
-    return StepFunction.from_json(load_json(path), monotone=True)
+    return StepFunction.from_json(_read_json(path), monotone=True)
 
 
 def _parse_tau(group: FiniteAbelianGroup, spec: Optional[str]) -> GroupEndomorphism:
@@ -352,7 +370,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         print(f"wrote {len(values)} baselines to {path}")
         return 0
     try:
-        stored = load_json(path)["entries"]
+        stored = _read_json(path)["entries"]
     except OSError:
         return _fail(f"cannot read baseline file {path}")
     drifted = []
@@ -394,41 +412,35 @@ def build_parser() -> argparse.ArgumentParser:
         " finite abelian groups.",
     )
     parser.add_argument("--config", help="JSON file of flag defaults (flags win)")
-    subs_action = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-    registry: Dict[str, argparse.ArgumentParser] = {}
-    parser.tflab_subparsers = registry  # type: ignore[attr-defined]
+    subs = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    class _Subs:
-        def add_parser(self, name: str, **kwargs: Any) -> argparse.ArgumentParser:
-            sub = subs_action.add_parser(name, allow_abbrev=False, **kwargs)
-            registry[name] = sub
-            return sub
-
-    subs = _Subs()
-
-    sub = subs.add_parser("group-info", help="describe a group and its dual")
+    sub = subs.add_parser("group-info", allow_abbrev=False,
+                          help="describe a group and its dual")
     _add_common(sub)
     sub.set_defaults(func=_cmd_group_info)
 
-    sub = subs.add_parser("norm", help="Lorentz quasi-norm of a function file")
+    sub = subs.add_parser("norm", allow_abbrev=False,
+                          help="Lorentz quasi-norm of a function file")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--p", required=True, type=parse_exponent, help="first exponent")
     sub.add_argument("--q", required=True, type=parse_exponent, help="second exponent")
     sub.set_defaults(func=_cmd_norm)
 
-    sub = subs.add_parser("fourier", help="Fourier transform of a function file")
+    sub = subs.add_parser("fourier", allow_abbrev=False,
+                          help="Fourier transform of a function file")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.set_defaults(func=_cmd_fourier)
 
-    sub = subs.add_parser("stft", help="short-time Fourier transform")
+    sub = subs.add_parser("stft", allow_abbrev=False, help="short-time Fourier transform")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--window", required=True, help="window JSON (values)")
     sub.set_defaults(func=_cmd_stft)
 
-    sub = subs.add_parser("wigner", help="two-window Wigner-type transform")
+    sub = subs.add_parser("wigner", allow_abbrev=False,
+                          help="two-window Wigner-type transform")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--window", required=True, help="window JSON (values)")
@@ -436,15 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
                      " the Rihaczek case)")
     sub.set_defaults(func=_cmd_wigner)
 
-    sub = subs.add_parser("weyl", help="apply a quantized symbol to a function")
+    sub = subs.add_parser("weyl", allow_abbrev=False,
+                          help="apply a quantized symbol to a function")
     _add_common(sub)
     sub.add_argument("--symbol", required=True, help="|G|x|G| symbol value file")
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--tau", help="integer matrix (default: identity)")
     sub.set_defaults(func=_cmd_weyl)
 
-    sub = subs.add_parser("calderon", help="bilinear kernel operator on step"
-                          " rearrangements")
+    sub = subs.add_parser("calderon", allow_abbrev=False,
+                          help="bilinear kernel operator on step rearrangements")
     sub.add_argument(
         "--eta",
         default="canonical",
@@ -463,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "extremize"):
         sub = subs.add_parser(
             name,
+            allow_abbrev=False,
             help="run randomized inequality trials"
             if name == "verify"
             else "hill-climb for near-extremal pairs",
@@ -484,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--out", help="write canonical JSON here instead of stdout")
             sub.set_defaults(func=_cmd_extremize)
 
-    sub = subs.add_parser("uncertainty", help="spectrogram concentration chain")
+    sub = subs.add_parser("uncertainty", allow_abbrev=False,
+                          help="spectrogram concentration chain")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="function JSON (values)")
     sub.add_argument("--window", required=True, help="window JSON (values)")
@@ -496,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, help="seed for random omega")
     sub.set_defaults(func=_cmd_uncertainty)
 
-    sub = subs.add_parser("baseline", help="recompute and compare regression"
-                          " baselines")
+    sub = subs.add_parser("baseline", allow_abbrev=False,
+                          help="recompute and compare regression baselines")
     sub.add_argument("--write", action="store_true",
                      help="overwrite the stored baseline file")
     sub.add_argument("--path", help="baseline file (default: packaged data)")
@@ -506,6 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_baseline)
 
     return parser
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    """Subcommand name -> its parser, as argparse's subparsers action holds them."""
+    return next(a for a in parser._actions if a.dest == "subcommand").choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -518,14 +538,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if at + 1 >= len(argv):
             return _fail("--config requires a path")
         try:
-            config = load_json(argv[at + 1])
+            config = _read_json(argv[at + 1])
         except OSError:
             return _fail(f"cannot read config file {argv[at + 1]}")
+        except ValueError as exc:
+            return _fail(f"config file {exc}")
         if not isinstance(config, dict):
             return _fail("config file must hold a JSON object of flag defaults")
+        subparsers = _subparsers(parser).values()
         flags = {
             action.dest
-            for sub in parser.tflab_subparsers.values()  # type: ignore[attr-defined]
+            for sub in subparsers
             for action in sub._actions
             if action.option_strings and action.dest != "help"
         }
@@ -533,7 +556,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if unknown:
             return _fail(f"config keys that name no flag: {unknown}")
         parser.set_defaults(**config)
-        for sub in parser.tflab_subparsers.values():  # type: ignore[attr-defined]
+        for sub in subparsers:
             sub.set_defaults(**config)
             # a config-supplied value satisfies a required flag
             for action in sub._actions:

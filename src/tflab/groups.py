@@ -13,7 +13,6 @@ holding up to a constant.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
@@ -254,14 +253,6 @@ class GroupEndomorphism:
 
     def apply(self, x: ElementLike) -> Tuple[int, ...]:
         return self.group.coords(int(self.permutation[self.group.index(x)]))
-
-    def compose(self, other: "GroupEndomorphism") -> "GroupEndomorphism":
-        """self o other, i.e. x -> self(other(x))."""
-        if other.group.orders != self.group.orders:
-            raise ValueError("cannot compose endomorphisms of different groups")
-        prod = self.matrix @ other.matrix
-        n = np.array(self.group.orders).reshape(-1, 1)
-        return GroupEndomorphism(self.group, prod % n)
 
     def __sub__(self, other: "GroupEndomorphism") -> "GroupEndomorphism":
         if other.group.orders != self.group.orders:

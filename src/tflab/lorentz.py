@@ -27,13 +27,11 @@ callers that work one piece at a time.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .exponents import (
-    Exponent,
     ExponentLike,
     as_float,
     conjugate,
@@ -47,7 +45,6 @@ __all__ = [
     "StepFunction",
     "distribution",
     "rearrangement",
-    "double_star",
     "power_integral",
     "power_sup",
     "step_halfline_functional",
@@ -103,9 +100,6 @@ class MeasuredFunction:
 
     def __repr__(self) -> str:
         return f"MeasuredFunction({len(self)} atoms on {self.domain!r})"
-
-    def scale_values(self, c: complex) -> "MeasuredFunction":
-        return MeasuredFunction(self.ids, self.weights, c * self.values, self.domain)
 
     def abs(self) -> "MeasuredFunction":
         return MeasuredFunction(
@@ -203,29 +197,8 @@ class StepFunction:
         return -np.diff(self.values, append=0.0)
 
     @property
-    def support_measure(self) -> float:
-        """Lebesgue measure of {t : value > 0}."""
-        return self.distribution(0.0)
-
-    @property
     def sup(self) -> float:
         return float(self.values.max()) if len(self) else 0.0
-
-    @cached_property
-    def _cum_integral(self) -> np.ndarray:
-        """Integral of the function over (0, breaks[j]], one entry per piece."""
-        return np.cumsum(self.values * (self.breaks - self.lows))
-
-    def integral(self, t: float) -> float:
-        """Exact integral over (0, t]."""
-        if t <= 0:
-            return 0.0
-        j = int(np.searchsorted(self.breaks, t, side="left"))
-        if j >= len(self):
-            return float(self._cum_integral[-1]) if len(self) else 0.0
-        prev = float(self._cum_integral[j - 1]) if j else 0.0
-        low = float(self.breaks[j - 1]) if j else 0.0
-        return prev + float(self.values[j]) * (t - low)
 
     def distribution(self, alpha: float) -> float:
         """Lebesgue measure of {t : value > alpha}."""
@@ -269,13 +242,6 @@ def rearrangement(f: MeasuredFunction) -> StepFunction:
     last = np.ones(mags.size, dtype=bool)
     last[:-1] = mags[1:] != mags[:-1]
     return StepFunction(totals[last], mags[last], monotone=True)
-
-
-def double_star(fstar: StepFunction, t: float) -> float:
-    """f**(t) = (1/t) * integral of f* over (0, t]."""
-    if t <= 0:
-        raise ValueError(f"double_star requires t > 0, got {t}")
-    return fstar.integral(t) / t
 
 
 def power_integral(a: float, lo: float, hi: float) -> float:

@@ -22,7 +22,7 @@ literal character sum as the reference route; the independent oracles
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 

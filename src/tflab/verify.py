@@ -67,7 +67,6 @@ __all__ = [
     "majorization_check",
     "uncertainty_check",
     "extremizer_search",
-    "weyl_norm_sample",
     "BASELINE_GRID",
     "compute_baselines",
 ]
@@ -537,24 +536,48 @@ _THEOREMS: Dict[str, _Theorem] = {
 THEOREMS = tuple(_THEOREMS)
 
 
+def _first_failure(rules: Sequence[_Rule], idx: IndexTuple) -> Optional[str]:
+    """Why idx breaks the first of the rules it breaks, or None."""
+    return next((why for rule in rules if (why := rule(idx))), None)
+
+
+class _Inadmissible(ValueError):
+    """An instance that breaks a hypothesis of its theorem; ``why`` names it."""
+
+    def __init__(self, why: str):
+        super().__init__(f"inadmissible instance: {why}")
+        self.why = why
+
+
+def _setup(
+    instance: TheoremInstance,
+) -> Tuple[FiniteAbelianGroup, Optional[GroupEndomorphism]]:
+    """The instance's group and tau, with tau certified an automorphism here,
+    once, when the theorem needs one; _Inadmissible names the first
+    hypothesis the instance breaks."""
+    spec = _THEOREMS[instance.theorem]
+    why = _first_failure(spec.rules, instance.indices)
+    if why is None and spec.needs_tau and instance.tau is None:
+        why = "tau (an automorphism matrix) is required"
+    if why:
+        raise _Inadmissible(why)
+    grp = FiniteAbelianGroup(instance.group)
+    tau = None if instance.tau is None else GroupEndomorphism(grp, instance.tau)
+    if spec.needs_tau and not tau.is_automorphism:
+        raise _Inadmissible("tau is not an automorphism of the group")
+    return grp, tau
+
+
 def check_admissibility(instance: TheoremInstance) -> Tuple[bool, str]:
     """Whether the instance satisfies its inequality's index hypotheses.
 
     The explanation names the first violated constraint; automorphism
     hypotheses on tau are checked against the group.
     """
-    spec = _THEOREMS[instance.theorem]
-    for rule in spec.rules:
-        why = rule(instance.indices)
-        if why:
-            return False, why
-    if spec.needs_tau:
-        if instance.tau is None:
-            return False, "tau (an automorphism matrix) is required"
-        grp = FiniteAbelianGroup(instance.group)
-        endo = GroupEndomorphism(grp, instance.tau)
-        if not endo.is_automorphism:
-            return False, "tau is not an automorphism of the group"
+    try:
+        _setup(instance)
+    except _Inadmissible as exc:
+        return False, exc.why
     return True, "admissible"
 
 
@@ -587,13 +610,7 @@ def verify_theorem(instance: TheoremInstance) -> VerificationReport:
     change the report.  Zero-denominator trials are skipped, not failed.
     """
     started = time.perf_counter()
-    ok, why = check_admissibility(instance)
-    if not ok:
-        raise ValueError(f"inadmissible instance: {why}")
-    grp = FiniteAbelianGroup(instance.group)
-    tau = (
-        GroupEndomorphism(grp, instance.tau) if instance.tau is not None else None
-    )
+    grp, tau = _setup(instance)
     report = VerificationReport(
         instance=instance, hypothesis_gaps=hypothesis_gaps(instance)
     )
@@ -670,7 +687,8 @@ def restricted_weak_type_check(
     lhs = 0.0
     if len(hstar):
         his = hstar.breaks
-        lhs = float(np.max(his**alpha * (hstar._cum_integral / his)))
+        integrals = np.cumsum(hstar.values * (his - hstar.lows))
+        lhs = float(np.max(his**alpha * (integrals / his)))
         if is_inf(r):
             lhs = max(lhs, float(hstar.values[0]))
     mu_u = group.measure(len(u_idx))
@@ -719,6 +737,10 @@ def majorization_check(
 # -- uncertainty chain --------------------------------------------------------------
 
 
+#: q in (2, inf) and u, v in [1, inf]
+_CHAIN_RULES = _above(2, "q") + _at_least_one("u v")
+
+
 def _clamp(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return min(max(x, lo), hi)
 
@@ -744,10 +766,9 @@ def uncertainty_check(
     grp = f.group
     n = grp.size
     idx = IndexTuple.of(q=q, u=u, v=v)
-    for rule in _above(2, "q") + _at_least_one("u v"):
-        why = rule(idx)
-        if why:
-            raise ValueError(why)
+    why = _first_failure(_CHAIN_RULES, idx)
+    if why:
+        raise ValueError(why)
     q = idx.q
     s = recip(Fraction(1, 2) - recip(q))
     w = recip(_clamp(recip(idx.u) + recip(idx.v) - 1, Fraction(0), Fraction(1, 2)))
@@ -800,18 +821,12 @@ def extremizer_search(
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    ok, why = check_admissibility(instance)
-    if not ok:
-        raise ValueError(f"inadmissible instance: {why}")
+    grp, tau = _setup(instance)
     if _THEOREMS[instance.theorem].trial is not _ratio_trial:
         raise ValueError(
             f"extremizer search targets bilinear ratio instances, not"
             f" {instance.theorem}"
         )
-    grp = FiniteAbelianGroup(instance.group)
-    tau = (
-        GroupEndomorphism(grp, instance.tau) if instance.tau is not None else None
-    )
 
     def ratio_of(fv: np.ndarray, gv: np.ndarray) -> float:
         f, g = GroupFunction(grp, fv), GroupFunction(grp, gv)
@@ -852,35 +867,6 @@ def extremizer_search(
         if current > best[0]:
             best = (current, fv, gv)
     return best[0], GroupFunction(grp, best[1]), GroupFunction(grp, best[2])
-
-
-# -- quantization operator sampling ---------------------------------------------------
-
-
-def weyl_norm_sample(
-    phi: TFArray,
-    tau: GroupEndomorphism,
-    in_space: Tuple[ExponentLike, ExponentLike],
-    out_space: Tuple[ExponentLike, ExponentLike],
-    trials: int = 20,
-    seed: int = 42,
-) -> float:
-    """max over sampled f of ||K f||_out / ||f||_in for K the operator
-    with quadratic form <K f, g> = <phi, W_tau(f, g)>; finiteness is the
-    only asserted property (the underlying constant is not explicit)."""
-    grp = phi.group
-    k = weyl_operator(phi, tau)
-    p_in, v_in = in_space
-    p_out, u_out = out_space
-    worst = 0.0
-    for i in range(trials):
-        rng = np.random.default_rng(seed ^ i)
-        f = GroupFunction(grp, _random_values(rng, grp.size))
-        den = f.lorentz_norm(p_in, v_in)
-        if den == 0:
-            continue
-        worst = max(worst, weyl_apply(k, f).lorentz_norm(p_out, u_out) / den)
-    return worst
 
 
 # -- regression baseline grid ---------------------------------------------------------

@@ -125,6 +125,36 @@ def lorentz_norm_via_rearrangement(
     return step_halfline_functional(rearrangement(f), recip(parse_exponent(p)), q)
 
 
+# -- maximal averages f**, one piece of f* at a time --------------------------------
+
+
+def double_star_oracle(fstar: StepFunction, t: float) -> float:
+    """f**(t) = (1/t) * integral of f* over (0, t], summed piece by piece."""
+    if t <= 0:
+        raise ValueError(f"f** is evaluated on t > 0, got {t}")
+    total = 0.0
+    for lo, hi, v in zip(fstar.lows.tolist(), fstar.breaks.tolist(), fstar.values.tolist()):
+        if lo >= t:
+            break
+        total += v * (min(hi, t) - lo)
+    return total / t
+
+
+def restricted_weak_type_lhs_oracle(
+    grp: FiniteAbelianGroup, u_set: Sequence[int], v_set: Sequence[int], r: ExponentLike
+) -> float:
+    """sup over t of t^{1/r} h**(t) for h = |V_{1_V} 1_U|: the max over the
+    breakpoints of h*, and the t -> 0 limit h*(0+) when r = inf."""
+    fu, gv = np.zeros(grp.size), np.zeros(grp.size)
+    fu[list(u_set)] = 1.0
+    gv[list(v_set)] = 1.0
+    h = stft_via_inner_products(GroupFunction(grp, fu), GroupFunction(grp, gv))
+    hstar = rearrangement(h.to_measured())
+    alpha = as_float(recip(parse_exponent(r)))
+    lhs = max(t**alpha * double_star_oracle(hstar, t) for t in hstar.breaks.tolist())
+    return max(lhs, hstar.sup) if is_inf(parse_exponent(r)) else lhs
+
+
 # -- the Lorentz norm with both ends of every piece raised to the power ---------
 
 

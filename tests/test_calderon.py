@@ -20,14 +20,12 @@ from tflab import (
     PiecewiseMonomial,
     StepFunction,
     calderon_apply,
-    calderon_estimate_check,
     calderon_separable_value,
     calderon_t_functional,
     convolution_norm,
     halfline_lorentz_functional,
     hardy_check,
     lorentz_norm,
-    mult_convolution,
     rearrangement,
     sample_functions,
     young_check,
@@ -93,20 +91,24 @@ def test_canonical_kernels() -> None:
 # -- multiplicative convolution ------------------------------------------------------
 
 
+# The convolution norm is checked against values of mult_convolution_oracle;
+# these tests pin that oracle to closed forms.
+
+
 def test_mult_convolution_log_tent() -> None:
     # 1_{[1,e)} * 1_{[1,e)} under dt/t is the tent in log x on [0, 2].
     f = StepFunction([1.0, math.e], [0.0, 1.0])
     for x in (1.2, 2.0, math.e, 4.0, math.e**2 * 0.99):
         lx = math.log(x)
         expected = max(0.0, min(lx, 1.0, 2.0 - lx)) if 0 <= lx <= 2 else 0.0
-        assert mult_convolution(f, f, x) == pytest.approx(expected, abs=1e-12)
+        assert mult_convolution_oracle(f, f, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_mult_convolution_fubini_total_mass() -> None:
     f = StepFunction([1.0, math.e], [0.0, 1.0])
     # integral of (f*g) dt/t factorizes; both factors are 1 here.
     grid = np.exp(np.linspace(-0.5, 2.5, 4001))
-    vals = [mult_convolution(f, f, x) for x in grid]
+    vals = [mult_convolution_oracle(f, f, x) for x in grid]
     total = np.trapezoid(vals, np.log(grid))
     assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -121,32 +123,8 @@ def test_mult_convolution_zero_outside_support() -> None:
     f = StepFunction([0.5, 1.0, 2.0], [0.0, 0.7, 0.3])
     g = StepFunction([1.5, 3.0, 4.0], [0.0, 1.3, 0.0])
     for x in (0.5 * 1.5 * 0.999, 0.5 * 1.5, 0.1, 2.0 * 3.0, 7.0, 1e9):
-        assert mult_convolution(f, g, x) == 0.0
-    assert mult_convolution(f, g, 1.0) > 0
-
-
-def convolution_probe_points(f: StepFunction, g: StepFunction) -> np.ndarray:
-    """Every product of breakpoints, the log-midpoints between consecutive
-    ones, and points below and above all of them."""
-    ends = np.unique(np.multiply.outer(f.breaks, g.breaks))
-    mids = np.sqrt(ends[1:] * ends[:-1])
-    return np.concatenate((ends, mids, ends[:1] * [0.9, 1e-3], ends[-1:] * [1.1, 1e3]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(step_functions(), step_functions())
-def test_mult_convolution_matches_oracle(f, g) -> None:
-    scale = f.sup * g.sup
-    support = [
-        (sf.lows[sf.values > 0][0], sf.breaks[sf.values > 0][-1]) if sf.sup else (1.0, 0.0)
-        for sf in (f, g)
-    ]
-    below, above = support[0][0] * support[1][0], support[0][1] * support[1][1]
-    for x in convolution_probe_points(f, g):
-        got = mult_convolution(f, g, x)
-        if x < below or x > above:
-            assert got == 0.0
-        assert abs(got - mult_convolution_oracle(f, g, x)) <= 1e-12 * scale
+        assert mult_convolution_oracle(f, g, x) == 0.0
+    assert mult_convolution_oracle(f, g, 1.0) > 0
 
 
 def mean_power(u0: float, u1: float, w: float) -> float:
@@ -222,9 +200,6 @@ def test_convolution_error_grows_as_inverse_piece_width() -> None:
     g = StepFunction([0.5, 2.0, 3.0], [0.0, 2.0, 1.0])
     for d in (1e-2, 1e-4, 1e-6):
         f = StepFunction([1.3, 1.3 * (1 + d)], [0.0, 1.0])
-        for x in convolution_probe_points(f, g):
-            want = mult_convolution_oracle(f, g, x)
-            assert mult_convolution(f, g, x) == pytest.approx(want, rel=1e-13 / d)
         assert_norms_match(f, g, rtol=1e-13 / d)
 
 
@@ -736,28 +711,3 @@ def test_t_functional_rejects_q_at_most_two() -> None:
     one = StepFunction([1.0], [1.0], monotone=True)
     with pytest.raises(ValueError):
         calderon_t_functional(one, one, 2, 1)
-
-
-# -- the composite estimate -----------------------------------------------------------
-
-
-def test_estimate_check_zero_function() -> None:
-    f = MeasuredFunction.from_values([0.0, 0.0])
-    g = MeasuredFunction.from_values([1.0, 2.0])
-    lhs, rhs, ratio = calderon_estimate_check(4, 3, 1, 1, 1, f, g)
-    assert lhs == 0.0 and ratio == 0.0
-
-
-def test_estimate_check_finite_on_random_input() -> None:
-    rng = np.random.default_rng(9)
-    f = MeasuredFunction.from_values(rng.standard_normal(8))
-    g = MeasuredFunction.from_values(rng.standard_normal(8))
-    lhs, rhs, ratio = calderon_estimate_check(4, 3, 1, 1, 1, f, g)
-    assert math.isfinite(lhs) and math.isfinite(rhs) and math.isfinite(ratio)
-    assert lhs == pytest.approx(ratio * rhs, rel=1e-12)
-
-
-def test_estimate_check_rejects_p_equal_two() -> None:
-    f = MeasuredFunction.from_values([1.0])
-    with pytest.raises(ValueError):
-        calderon_estimate_check(4, 2, 1, 1, 1, f, f)

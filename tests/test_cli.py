@@ -21,7 +21,7 @@ from tflab import (
     load_json,
     write_json,
 )
-from tflab.cli import DEFAULT_SEED, SUBCOMMANDS, build_parser, main
+from tflab.cli import DEFAULT_SEED, SUBCOMMANDS, _subparsers, build_parser, main
 from tflab.serialize import drop_keys
 
 
@@ -47,7 +47,7 @@ def run(capsys, *argv) -> tuple[int, str]:
 
 def test_registered_subcommands_complete() -> None:
     parser = build_parser()
-    assert set(parser.tflab_subparsers) == set(SUBCOMMANDS)
+    assert set(_subparsers(parser)) == set(SUBCOMMANDS)
     assert len(SUBCOMMANDS) == 11
 
 
@@ -339,6 +339,25 @@ def test_function_file_takes_only_the_values_form(capsys, tmp_path, content) -> 
     write_json(str(path), content)
     assert main(["norm", "--group", "6", "--input", str(path), "--p", "2", "--q", "1"]) == 2
     assert '{"values": [[re, im] or x, ...]}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [[1.0], None, [1.0, 0.0, 5.0]])
+def test_malformed_function_file_entry_is_usage_error(capsys, tmp_path, entry) -> None:
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"values": [[1.0, 0.0]] * 3 + [entry] + [2.0] * 2}))
+    assert main(["norm", "--group", "6", "--input", str(path), "--p", "2", "--q", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: values[3] must be [re, im] or a real number")
+    assert err.rstrip().endswith(json.dumps(entry))
+
+
+def test_config_file_that_is_not_json_is_usage_error(capsys, workdir) -> None:
+    cfg = workdir / "cfg.json"
+    cfg.write_text('{"group": "6",')
+    assert main(["--config", str(cfg), "verify", "--theorem", "t2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfg} is not valid JSON")
+    assert "Traceback" not in err
 
 
 def test_uncertainty_rejects_window_exponent_zero(capsys, workdir) -> None:

@@ -283,9 +283,10 @@ def test_dual_automorphism_contravariant() -> None:
     g = FiniteAbelianGroup([5, 5])
     m = GroupEndomorphism(g, [[2, 0], [0, 3]])
     n = GroupEndomorphism(g, [[1, 1], [0, 1]])
-    lhs = m.compose(n).dual()
-    rhs = n.dual().compose(m.dual())
-    assert np.array_equal(lhs.matrix, rhs.matrix)
+    # the composite x -> m(n(x)), entries reduced mod 5
+    lhs = GroupEndomorphism(g, (m.matrix @ n.matrix) % 5).dual()
+    rhs = (n.dual().matrix @ m.dual().matrix) % 5
+    assert np.array_equal(lhs.matrix, rhs)
 
 
 def test_permutation_matches_apply() -> None:

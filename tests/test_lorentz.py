@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    double_star_oracle,
     lorentz_norm_two_power,
     lorentz_norm_via_rearrangement,
     pieces_functional_two_power,
@@ -22,7 +23,6 @@ from tflab import (
     StepFunction,
     TFArray,
     distribution,
-    double_star,
     embedding_check,
     embedding_constant,
     holder_check,
@@ -138,7 +138,7 @@ def test_rearrangement_permutation_invariant() -> None:
 
 def test_rearrangement_zero_function_is_empty() -> None:
     sf = rearrangement(from_list([0.0, 0.0]))
-    assert sf.support_measure == 0.0
+    assert sf.distribution(0.0) == 0.0
     assert sf.sup == 0.0
 
 
@@ -151,12 +151,13 @@ def test_equimeasurability_property(values, alpha) -> None:
 
 
 def test_double_star_constant_plateau() -> None:
+    # pins the f** oracle that the restricted weak type tests rely on
     sf = StepFunction([1.0], [3.0], monotone=True)
     for t in (0.25, 0.5, 1.0):
-        assert double_star(sf, t) == pytest.approx(3.0)
-    assert double_star(sf, 2.0) == pytest.approx(1.5)
+        assert double_star_oracle(sf, t) == pytest.approx(3.0)
+    assert double_star_oracle(sf, 2.0) == pytest.approx(1.5)
     with pytest.raises(ValueError):
-        double_star(sf, 0.0)
+        double_star_oracle(sf, 0.0)
 
 
 def test_double_star_dominates_rearrangement() -> None:
@@ -165,7 +166,7 @@ def test_double_star_dominates_rearrangement() -> None:
     sf = rearrangement(f)
     for t in np.linspace(0.1, 7, 25):
         left = float(sf.values[np.searchsorted(sf.breaks, t, side="left")]) if t < sf.breaks[-1] else 0.0
-        assert double_star(sf, float(t)) >= left - 1e-12
+        assert double_star_oracle(sf, float(t)) >= left - 1e-12
 
 
 # -- exact monomial integrals ---------------------------------------------------
@@ -310,7 +311,7 @@ def test_oracle_agreement_and_homogeneity_wide_range(f, p, q, k) -> None:
     assert math.isfinite(a)
     assert a == pytest.approx(lorentz_norm_via_distribution(f, p, q), rel=1e-9, abs=0)
     c = 10.0**k
-    scaled = lorentz_norm(f.scale_values(c), p, q)
+    scaled = lorentz_norm(MeasuredFunction(f.ids, f.weights, c * f.values), p, q)
     assert scaled == pytest.approx(c * a, rel=1e-9, abs=0)
 
 

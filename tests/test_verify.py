@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import random_values_oracle
+from oracles import random_values_oracle, restricted_weak_type_lhs_oracle
 from tflab import (
     BASELINE_GRID,
     ETA_SEPARABLE,
@@ -33,7 +33,6 @@ from tflab import (
     stft,
     uncertainty_check,
     verify_theorem,
-    weyl_norm_sample,
     wigner_tau,
 )
 from tflab.lorentz import _lorentz_norm
@@ -310,6 +309,22 @@ def test_transforms_are_looked_up_at_call_time(monkeypatch) -> None:
     assert calls == ["stft"] * 6 + ["wigner_tau"] * 5
 
 
+def test_tau_is_built_and_certified_once_per_run(monkeypatch) -> None:
+    built = []
+
+    class Counting(GroupEndomorphism):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(verify_mod, "GroupEndomorphism", Counting)
+    inst = make("t3ii", group=(9,), tau=((2,),), trials=3, **T1)
+    verify_theorem(inst)
+    assert len(built) == 1
+    extremizer_search(inst, budget=2)
+    assert len(built) == 2
+
+
 # -- restricted weak type -------------------------------------------------------------
 
 
@@ -317,6 +332,17 @@ def test_restricted_weak_type_singletons() -> None:
     g = FiniteAbelianGroup([6])
     lhs, rhs, ok = restricted_weak_type_check(g, [0], [0], 1, math.inf, math.inf)
     assert ok and lhs <= rhs * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("r", [2, math.inf])
+def test_restricted_weak_type_lhs_matches_oracle(r) -> None:
+    g = FiniteAbelianGroup([6])
+    subsets = [[0], [1, 3], [0, 1, 2], [0, 2, 4], [5, 1, 2, 4], list(range(6))]
+    for u_set in subsets:
+        for v_set in subsets:
+            lhs, _, _ = restricted_weak_type_check(g, u_set, v_set, 2, 2, r)
+            want = restricted_weak_type_lhs_oracle(g, u_set, v_set, r)
+            assert lhs == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_restricted_weak_type_constant_one_families() -> None:
@@ -495,15 +521,6 @@ def test_extremizer_rejects_negative_budget_and_t5() -> None:
         extremizer_search(make("t1", **T1), budget=-1)
     with pytest.raises(ValueError):
         extremizer_search(make("t5i", q=4, p1="8/3", p2="8/3", u=2, v=2), budget=0)
-
-
-def test_weyl_norm_sample_zero_symbol() -> None:
-    g = FiniteAbelianGroup([5])
-    from tflab import GroupEndomorphism, TFArray
-
-    tau = GroupEndomorphism(g, [[2]])
-    phi = TFArray(g, np.zeros((5, 5), dtype=np.complex128))
-    assert weyl_norm_sample(phi, tau, (3, 1), (3, math.inf), trials=4) == 0.0
 
 
 # -- baselines ----------------------------------------------------------------------------
