@@ -82,6 +82,15 @@ def _read_json(path: str) -> Any:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _read_object(path: str, *keys: str) -> dict:
+    """The JSON object in path, which must hold every one of keys."""
+    obj = _read_json(path)
+    for key in keys:
+        if not (isinstance(obj, dict) and key in obj):
+            raise ValueError(f"{path}: expected a JSON object with the key {key!r}")
+    return obj
+
+
 def _is_real(x: Any) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -115,7 +124,11 @@ def _dump_values(values: np.ndarray) -> dict:
 
 
 def _load_step(path: str) -> StepFunction:
-    return StepFunction.from_json(_read_json(path), monotone=True)
+    obj = _read_object(path, "breaks", "values")
+    try:
+        return StepFunction.from_json(obj, monotone=True)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_tau(group: FiniteAbelianGroup, spec: Optional[str]) -> GroupEndomorphism:
@@ -363,16 +376,19 @@ def _baseline_path() -> str:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     path = args.path or _baseline_path()
-    values = compute_baselines()
     if args.write:
+        values = compute_baselines()
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write_json(path, {"seed": DEFAULT_SEED, "entries": values})
         print(f"wrote {len(values)} baselines to {path}")
         return 0
     try:
-        stored = _read_json(path)["entries"]
+        stored = _read_object(path, "entries")["entries"]
     except OSError:
         return _fail(f"cannot read baseline file {path}")
+    if not (isinstance(stored, dict) and all(map(_is_real, stored.values()))):
+        return _fail(f"{path}: 'entries' must map each baseline id to a number")
+    values = compute_baselines()
     drifted = []
     worst = 0.0
     for key, value in sorted(values.items()):

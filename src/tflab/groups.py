@@ -251,9 +251,6 @@ class GroupEndomorphism:
         out.setflags(write=False)
         return out
 
-    def apply(self, x: ElementLike) -> Tuple[int, ...]:
-        return self.group.coords(int(self.permutation[self.group.index(x)]))
-
     def __sub__(self, other: "GroupEndomorphism") -> "GroupEndomorphism":
         if other.group.orders != self.group.orders:
             raise ValueError("cannot subtract endomorphisms of different groups")

@@ -200,12 +200,6 @@ class StepFunction:
     def sup(self) -> float:
         return float(self.values.max()) if len(self) else 0.0
 
-    def distribution(self, alpha: float) -> float:
-        """Lebesgue measure of {t : value > alpha}."""
-        if alpha < 0:
-            raise ValueError("threshold must be non-negative")
-        return float(((self.breaks - self.lows) * (self.values > alpha)).sum())
-
     def to_json(self) -> dict:
         return {"breaks": self.breaks.tolist(), "values": self.values.tolist()}
 

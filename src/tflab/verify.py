@@ -700,38 +700,29 @@ def restricted_weak_type_check(
 # -- rearrangement majorization ----------------------------------------------------
 
 
-#: Log-spaced points the majorization grid adds to the rearrangement's own.
-_MAJORIZATION_FILL = 32
-
-
 def majorization_check(
     f: GroupFunction, g: GroupFunction, eta: EtaSet = ETA_SQRT_MIN
 ) -> float:
-    """max over a t-grid of (V_g f)*(t) / S_eta(f*, g*)(t).
+    """sup over t > 0 of (V_g f)*(t) / S_eta(f*, g*)(t), exactly.
 
-    The grid takes every piece of the exact rearrangement (sampled at
-    geometric midpoints and right endpoints) plus _MAJORIZATION_FILL
-    log-spaced points from an eighth of its first breakpoint to eight times
-    its last.
+    h* = (V_g f)* is right-continuous: top_i on [b_{i-1}, b_i), with
+    b_{-1} = 0, and 0 past its last break.  Every kernel
+    min_k r^{a_k} s^{b_k} t^{-c_k} has c_k in [0, 1], so it is continuous
+    and non-increasing in t, and at t in [b/2, b] at most twice its value at
+    b.  By dominated convergence S is non-increasing and continuous wherever
+    it is finite, so on piece i the ratio rises to its supremum
+    top_i / S(b_i): one S value per piece.  S = inf gives a ratio of 0,
+    and S = 0 one of inf.
     """
     hstar = rearrangement(stft(f, g).to_measured())
     if not len(hstar):
         return 0.0
     fstar = rearrangement(f.to_measured().abs())
     gstar = rearrangement(g.to_measured().abs())
-    breaks = hstar.breaks
-    lows = np.concatenate(([breaks[0] / 4], breaks[:-1]))
-    mids = np.sqrt(lows * breaks)
-    grid = np.unique(
-        np.concatenate(
-            [mids, breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, _MAJORIZATION_FILL)]
-        )
-    )
-    tops = np.append(hstar.values, 0.0)[np.searchsorted(breaks, grid, side="right")]
-    grid, tops = grid[tops != 0], tops[tops != 0]
-    s_vals = calderon_apply(eta, fstar, gstar, grid)
-    ratios = np.divide(tops, s_vals, out=np.full(tops.shape, math.inf), where=s_vals > 0)
-    return float(np.max(ratios, initial=0.0))
+    s_vals = calderon_apply(eta, fstar, gstar, hstar.breaks)
+    ratios = np.full(len(hstar), math.inf)
+    np.divide(hstar.values, s_vals, out=ratios, where=s_vals > 0)
+    return float(np.max(ratios))
 
 
 # -- uncertainty chain --------------------------------------------------------------

@@ -22,11 +22,13 @@ from tflab import (
     StepFunction,
     TFArray,
     as_float,
+    calderon_apply,
     is_inf,
     parse_exponent,
     rearrangement,
     recip,
     step_halfline_functional,
+    stft,
     tf_pairing,
     tf_shift,
     wigner_tau,
@@ -423,6 +425,34 @@ def calderon_exact_oracle(eta: EtaSet, fstar: StepFunction, gstar: StepFunction,
                     return math.inf
                 total += fv * gv * part
     return total
+
+
+# -- the majorization ratio sampled on a grid ----------------------------------
+
+
+def majorization_grid_oracle(f: GroupFunction, g: GroupFunction, eta: EtaSet) -> float:
+    """max of (V_g f)*(t) / S_eta(f*, g*)(t) over a t-grid: the geometric
+    midpoint and right end of every piece of (V_g f)*, plus 32 log-spaced
+    points from an eighth of its first break to eight times its last.
+    Every grid value is attained, so this is a lower bound on the supremum
+    ``majorization_check`` returns."""
+    hstar = rearrangement(stft(f, g).to_measured())
+    if not len(hstar):
+        return 0.0
+    fstar = rearrangement(f.to_measured().abs())
+    gstar = rearrangement(g.to_measured().abs())
+    breaks = hstar.breaks
+    lows = np.concatenate(([breaks[0] / 4], breaks[:-1]))
+    grid = np.unique(
+        np.concatenate(
+            [np.sqrt(lows * breaks), breaks, np.geomspace(breaks[0] / 8, breaks[-1] * 8, 32)]
+        )
+    )
+    tops = np.append(hstar.values, 0.0)[np.searchsorted(breaks, grid, side="right")]
+    grid, tops = grid[tops != 0], tops[tops != 0]
+    s_vals = calderon_apply(eta, fstar, gstar, grid)
+    ratios = np.divide(tops, s_vals, out=np.full(tops.shape, math.inf), where=s_vals > 0)
+    return float(np.max(ratios, initial=0.0))
 
 
 # -- adaptive quadrature ---------------------------------------------------------

@@ -360,6 +360,25 @@ def test_config_file_that_is_not_json_is_usage_error(capsys, workdir) -> None:
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [[1, 2], {"values": [1]}])
+def test_malformed_step_file_is_usage_error(capsys, tmp_path, content) -> None:
+    path = tmp_path / "s.json"
+    write_json(str(path), content)
+    assert main(["calderon", "--f", str(path), "--g", str(path), "--t", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected a JSON object with the key 'breaks'\n"
+    )
+
+
+def test_baseline_file_without_entries_is_usage_error(capsys, tmp_path) -> None:
+    path = tmp_path / "base.json"
+    write_json(str(path), {"seed": 42})
+    assert main(["baseline", "--path", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: expected a JSON object with the key 'entries'\n"
+    )
+
+
 def test_uncertainty_rejects_window_exponent_zero(capsys, workdir) -> None:
     files = ("--input", str(workdir / "f.json"), "--window", str(workdir / "g.json"))
     assert main(["uncertainty", "--group", "6", *files, "--q", "4", "--u", "0", "--v", "4"]) == 2
