@@ -15,8 +15,11 @@ of the log plane, for a whole grid of t at once.  A truncated log-grid
 quadrature covers every other kernel.
 
 Whatever is not in closed form goes through one adaptive Gauss-Legendre
-integrator, which takes all of a caller's intervals at once and evaluates
-each bisection level in one array call of the integrand.
+integrator (``_adaptive_gauss``), which takes all of a caller's intervals
+at once and evaluates each bisection level in one array call of the
+integrand.  Both Hardy forms use it at every finite q (form 1 keeps its
+monomial pieces at 0 and infinity exact); their q = inf sups are closed
+forms.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, Iterable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -220,44 +223,6 @@ def young_check(
     return lhs, rhs, bool(lhs <= rhs * (1 + 1e-12))
 
 
-# -- exact exponential-polynomial integrals -----------------------------------
-
-
-def _exp_poly_integral(
-    gamma: float, a: float, b: float, n: int, lo: float, hi: float
-) -> float:
-    """integral of e^{gamma x} (a + b x)^n dx over (lo, hi), integer n >= 0.
-
-    lo may be -inf when gamma > 0.  Uses the integration-by-parts
-    recurrence I_n = [e^{gamma x}(a+bx)^n / gamma] - (n b / gamma) I_{n-1}.
-    """
-    if n < 0 or n != int(n):
-        raise ValueError(f"polynomial degree must be a non-negative integer, got {n}")
-    if math.isinf(hi):
-        raise ValueError("upper endpoint must be finite")
-    if gamma == 0:
-        if lo == _NEG_INF:
-            return math.inf
-        if b == 0:
-            return a**n * (hi - lo)
-        return ((a + b * hi) ** (n + 1) - (a + b * lo) ** (n + 1)) / (b * (n + 1))
-    if lo == _NEG_INF and gamma <= 0:
-        return math.inf
-
-    def boundary(x: float, k: int) -> float:
-        if x == _NEG_INF:
-            return 0.0
-        return math.exp(gamma * x) * (a + b * x) ** k / gamma
-
-    total = 0.0
-    factor = 1.0
-    for k in range(n, 0, -1):
-        total += factor * (boundary(hi, k) - boundary(lo, k))
-        factor *= -k * b / gamma
-    total += factor * (boundary(hi, 0) - boundary(lo, 0))
-    return total
-
-
 # -- Hardy's inequality --------------------------------------------------------
 
 
@@ -271,7 +236,13 @@ class HardyResult(NamedTuple):
 
 
 def _hardy_form1_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
-    """{ integral [t^{delta-1} * integral_0^t phi(u) du]^q dt/t }^{1/q}."""
+    """{ integral [t^{delta-1} * integral_0^t phi(u) du]^q dt/t }^{1/q}.
+
+    Phi(t) = integral_0^t phi is affine on each piece.  For finite q the
+    pieces at 0 and at infinity are monomials in closed form and the middle
+    ones go through one adaptive Gauss call; q = inf takes the closed-form
+    sup of each piece.
+    """
     running = 0.0
     segments = []  # (lo, hi, alpha, beta): Phi(t) = alpha + beta t on (lo, hi)
     for lo, hi, v in zip(phi.lows, phi.breaks, phi.values):
@@ -285,21 +256,28 @@ def _hardy_form1_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
             sup = max(sup, _sup_power_affine(delta - 1, alpha, beta, lo, hi))
         return sup
     qf = as_float(q)
-    if qf == int(qf):
-        n = int(qf)
-        total = 0.0
-        for lo, hi, alpha, beta in segments:
-            if alpha == 0 and beta == 0:
-                continue
-            for k in range(n + 1):
-                coef = math.comb(n, k) * alpha ** (n - k) * beta**k
-                if coef != 0:
-                    part = power_integral((delta - 1) * n + k, lo, hi)
-                    total += coef * part
-            if math.isinf(total):
-                return math.inf
-        return max(total, 0.0) ** (1.0 / n)
-    return _quad_power_affine(delta, qf, segments)
+    lo, hi, alpha, beta = np.array(segments, dtype=np.float64).reshape(-1, 4).T
+    live = (alpha != 0) | (beta != 0)
+    middle = live & (lo > 0) & np.isfinite(hi)
+    alpha_m, beta_m = alpha[middle], beta[middle]
+
+    def fn(t: np.ndarray, which: np.ndarray) -> np.ndarray:
+        phi_int = np.maximum(alpha_m[which, None] + beta_m[which, None] * t, 0.0)
+        return t ** ((delta - 1) * qf) * phi_int**qf / t
+
+    quad = iter(_adaptive_gauss(fn, lo[middle], hi[middle]).tolist())
+    total = 0.0
+    for s_lo, s_hi, s_alpha, s_beta in segments:
+        if s_alpha == 0 and s_beta == 0:
+            continue
+        if s_lo == 0:
+            # alpha = 0 structurally (Phi(0) = 0): pure monomial piece
+            total += s_beta**qf * power_integral(delta * qf, 0.0, s_hi)
+        elif math.isinf(s_hi):
+            total += s_alpha**qf * power_integral((delta - 1) * qf, s_lo, s_hi)
+        else:
+            total += next(quad)
+    return total ** (1.0 / qf)
 
 
 def _sup_power_affine(
@@ -335,35 +313,6 @@ def _sup_power_affine(
         if not math.isnan(t_star) and lo < t_star < hi:
             candidates.append(max(val(t_star), 0.0))
     return max(candidates)
-
-
-def _quad_power_affine(
-    delta: float, qf: float, segments: Sequence[Tuple[float, float, float, float]]
-) -> float:
-    """Non-integer-q fallback for the first Hardy form: the pieces at 0 and
-    at infinity in closed form, the middle ones in one adaptive call."""
-    lo, hi, alpha, beta = np.array(segments, dtype=np.float64).reshape(-1, 4).T
-    live = (alpha != 0) | (beta != 0)
-    middle = live & (lo > 0) & np.isfinite(hi)
-    alpha_m, beta_m = alpha[middle], beta[middle]
-
-    def fn(t: np.ndarray, which: np.ndarray) -> np.ndarray:
-        phi_int = np.maximum(alpha_m[which, None] + beta_m[which, None] * t, 0.0)
-        return t ** ((delta - 1) * qf) * phi_int**qf / t
-
-    quad = iter(_adaptive_gauss(fn, lo[middle], hi[middle]).tolist())
-    total = 0.0
-    for s_lo, s_hi, s_alpha, s_beta in segments:
-        if s_alpha == 0 and s_beta == 0:
-            continue
-        if s_lo == 0:
-            # alpha = 0 structurally (Phi(0) = 0): pure monomial piece
-            total += s_beta**qf * power_integral(delta * qf, 0.0, s_hi)
-        elif math.isinf(s_hi):
-            total += s_alpha**qf * power_integral((delta - 1) * qf, s_lo, s_hi)
-        else:
-            total += next(quad)
-    return total ** (1.0 / qf)
 
 
 @functools.cache
@@ -432,7 +381,13 @@ def _adaptive_gauss(
 
 
 def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
-    """{ integral [t^{1-delta} * integral_t^inf phi(u) du/u]^q dt/t }^{1/q}."""
+    """{ integral [t^{1-delta} * integral_t^inf phi(u) du/u]^q dt/t }^{1/q}.
+
+    In lam = log t, Psi(t) = integral_t^inf phi(u) du/u is affine on each
+    piece.  For finite q every piece goes through one adaptive Gauss call,
+    the one at 0 cut where its exponential factor has decayed; q = inf
+    takes the closed-form sup of each piece.
+    """
     if not len(phi):
         return 0.0
     # Psi(t) = E_j - phi_j log t on piece j, accumulated from the right
@@ -451,19 +406,6 @@ def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
             sup = max(sup, _sup_exp_affine(gamma1, e_j, -v, lo, hi))
         return sup
     qf = as_float(q)
-    llo = lambda lo: math.log(lo) if lo > 0 else _NEG_INF
-    if qf == int(qf):
-        n = int(qf)
-        total = 0.0
-        for lo, hi, e_j, v in segments:
-            if e_j == 0 and v == 0:
-                continue
-            total += _exp_poly_integral(
-                gamma1 * n, e_j, -v, n, llo(lo), math.log(hi)
-            )
-            if math.isinf(total):
-                return math.inf
-        return max(total, 0.0) ** (1.0 / n)
     live = [seg for seg in segments if seg[2] != 0 or seg[3] != 0]
     _, _, e, v = np.array(live, dtype=np.float64).reshape(-1, 4).T
     # from lo = 0, truncate where the exponential has decayed far below scale

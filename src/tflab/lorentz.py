@@ -101,11 +101,6 @@ class MeasuredFunction:
     def __repr__(self) -> str:
         return f"MeasuredFunction({len(self)} atoms on {self.domain!r})"
 
-    def abs(self) -> "MeasuredFunction":
-        return MeasuredFunction(
-            self.ids, self.weights, np.abs(self.values), self.domain
-        )
-
     def pointwise_product(self, other: "MeasuredFunction") -> "MeasuredFunction":
         """fg on a shared atom list (same ids, same weights, same order)."""
         if self.domain != other.domain:

@@ -717,8 +717,8 @@ def majorization_check(
     hstar = rearrangement(stft(f, g).to_measured())
     if not len(hstar):
         return 0.0
-    fstar = rearrangement(f.to_measured().abs())
-    gstar = rearrangement(g.to_measured().abs())
+    fstar = rearrangement(f.to_measured())
+    gstar = rearrangement(g.to_measured())
     s_vals = calderon_apply(eta, fstar, gstar, hstar.breaks)
     ratios = np.full(len(hstar), math.inf)
     np.divide(hstar.values, s_vals, out=ratios, where=s_vals > 0)

@@ -439,8 +439,8 @@ def majorization_grid_oracle(f: GroupFunction, g: GroupFunction, eta: EtaSet) ->
     hstar = rearrangement(stft(f, g).to_measured())
     if not len(hstar):
         return 0.0
-    fstar = rearrangement(f.to_measured().abs())
-    gstar = rearrangement(g.to_measured().abs())
+    fstar = rearrangement(f.to_measured())
+    gstar = rearrangement(g.to_measured())
     breaks = hstar.breaks
     lows = np.concatenate(([breaks[0] / 4], breaks[:-1]))
     grid = np.unique(
@@ -544,6 +544,40 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
         head1 = [(edges[0] - 80 / (qf * delta), edges[0])] if vals[0] > 0 else []
         lhs1 = norm(form1, head1 + inner + tail1)
     return lhs1, norm(form2, head2 + inner)
+
+
+def hardy_lhs_mp(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[float, float]:
+    """(lhs1, lhs2) of ``hardy_lhs_oracle`` for finite q, from mpmath at 30
+    digits: ``mp.quad`` over lam = log t split at the log of every
+    breakpoint of phi, with Phi(t) = sum_i phi_i (min(t, b_i) - lo_i)_+ and
+    Psi(t) = sum_i phi_i log(b_i / max(t, lo_i))_+ summed in mp arithmetic.
+    In lam both integrands decay exponentially at the open ends, which
+    mp.quad resolves even for delta near 1; over t the same decay is a
+    power t^{-1-eps}, which loses digits.  Form 1 must be finite, so phi
+    vanishes on its first piece or delta > 0."""
+    from mpmath import mp
+
+    with mp.workdps(30):
+        pieces = [
+            (mp.mpf(float(lo)), mp.mpf(float(hi)), mp.mpf(float(v)))
+            for lo, hi, v in zip(phi.lows, phi.breaks, phi.values)
+        ]
+        d, qm = mp.mpf(float(delta)), mp.mpf(float(parse_exponent(q)))
+
+        def form1(lam):
+            t = mp.exp(lam)
+            big_phi = mp.fsum(v * (min(t, hi) - lo) for lo, hi, v in pieces if t > lo)
+            return (mp.exp((d - 1) * lam) * big_phi) ** qm
+
+        def form2(lam):
+            t = mp.exp(lam)
+            psi = mp.fsum(v * mp.log(hi / max(t, lo)) for lo, hi, v in pieces if t < hi)
+            return (mp.exp((1 - d) * lam) * psi) ** qm
+
+        points = [-mp.inf] + [mp.log(hi) for _, hi, _ in pieces]
+        lhs1 = mp.quad(form1, points + [mp.inf]) ** (1 / qm)
+        lhs2 = mp.quad(form2, points) ** (1 / qm)
+        return float(lhs1), float(lhs2)
 
 
 # -- random samples ---------------------------------------------------------------

@@ -36,6 +36,7 @@ from tflab.verify import SAMPLE_KINDS, majorization_check
 from oracles import (
     adaptive_gauss_oracle,
     calderon_exact_oracle,
+    hardy_lhs_mp,
     hardy_lhs_oracle,
     mult_convolution_oracle,
 )
@@ -230,14 +231,17 @@ def test_hardy_constant_random_suite() -> None:
             assert res.holds
 
 
-#: phi with a zero first piece (Phi starts at 1) and a zero interior piece
+#: phi with a zero first piece (Phi starts at 1) and a zero interior piece;
+#: then a small head and a unit spike after a long gap, so that Phi and Psi
+#: span orders of magnitude and a sum of large terms of both signs cancels
 HARDY_SHAPES = [
     StepFunction([1.0, 2.0, 3.5], [0.0, 1.0, 0.4]),
     StepFunction([0.3, 0.9, 2.0, 6.0], [2.5, 0.0, 1.0, 3.0]),
+    StepFunction([1.0, 1000.0, 1001.0], [1e-3, 0.0, 1.0]),
 ]
 
 
-@pytest.mark.parametrize("q", [1, 2, 3, "3/2", math.inf])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 6, 8, "3/2", math.inf])
 @pytest.mark.parametrize("delta", [-0.5, 0.25, 0.75])
 def test_hardy_lhs_matches_defining_integrals(delta, q) -> None:
     rng = np.random.default_rng(19)
@@ -251,6 +255,20 @@ def test_hardy_lhs_matches_defining_integrals(delta, q) -> None:
                 assert got == exact == math.inf, (phi, got, exact)
             else:
                 assert got == pytest.approx(exact, rel=rel), (phi, got, exact)
+
+
+@pytest.mark.parametrize("q", [2, 4, 6, 8])
+@pytest.mark.parametrize("delta", [0.25, 0.75])
+def test_hardy_lhs_matches_mpmath_reference(delta, q) -> None:
+    # a small head, a long gap and a unit spike: Phi and Psi span orders of
+    # magnitude, and the integrands peak far from where they start
+    for phi in (
+        StepFunction([1.0, 1000.0, 1001.0], [1e-3, 0.0, 1.0]),
+        StepFunction([0.5, 100.0, 100.5], [1e-4, 0.0, 1.0]),
+    ):
+        res = hardy_check(phi, delta, q)
+        for got, exact in zip((res.lhs1, res.lhs2), hardy_lhs_mp(phi, delta, q)):
+            assert got == pytest.approx(exact, rel=1e-11), (phi, got, exact)
 
 
 def test_hardy_zero_function() -> None:
@@ -462,7 +480,7 @@ def test_corner_form_same_bits_at_any_block_size(monkeypatch, orders, kind) -> N
     # every cell is computed elementwise and every sum runs over one t's
     # own axes, so how the t values are split into passes changes no bit
     f, g = sample_functions(kind, FiniteAbelianGroup(orders), 4)
-    fstar, gstar = (rearrangement(h.to_measured().abs()) for h in (f, g))
+    fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
     ts = np.geomspace(1e-4, 1e4, 97)
 
     def compute() -> list:
@@ -512,7 +530,7 @@ def test_corner_form_memory_bounded_by_cell_budget() -> None:
     # 64 pieces each on Z_64: a pass of 32 t would make each temporary of
     # the evaluator 32 * 3 * 64 * 64 floats (3 MiB); the budget allows one t
     f, g = sample_functions("gaussian-random", FiniteAbelianGroup([64]), 2)
-    fstar, gstar = (rearrangement(h.to_measured().abs()) for h in (f, g))
+    fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
     assert len(fstar) == len(gstar) == 64
     ts = np.geomspace(1e-3, 1e3, 200)
     calderon_apply(ETA_SQRT_MIN, fstar, gstar, ts)
@@ -554,13 +572,14 @@ def test_adaptive_gauss_matches_depth_first_oracle(monkeypatch) -> None:
     f, g = random_monotone_step(rng, 4), random_monotone_step(rng, 3)
     # Phi(t) = t - 1 vanishes at the left end of the piece (1, 2]: at
     # q = 3/2 the integrand is not smooth there and the bisection reaches
-    # the depth cap
+    # the depth cap; integer q takes the same route
     rises = StepFunction([1.0, 2.0, 3.5], [0.0, 1.0, 0.4])
     cases = {
         "hardy": lambda: [
-            hardy_check(phi, delta, "3/2")
+            hardy_check(phi, delta, q)
             for phi in (rises, random_step(rng, 5), f)
             for delta in (-0.5, 0.25)
+            for q in ("3/2", 2)
         ],
         "quadrature": lambda: calderon_apply(ETA_SQRT_MIN, f, g, 2.0, method="quadrature"),
         "t-functional": lambda: [calderon_t_functional(f, g, 4, 2), calderon_t_functional(one, one, 3, 1)],

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from tflab import (
     conjugate_rihaczek,
     rihaczek,
     tf_shift,
+    uncertainty_check,
     wigner_tau,
 )
 import tflab.verify as verify_mod
@@ -175,3 +177,48 @@ def test_non_subgroup_indicator_misses_closed_forms() -> None:
     for theorem, _, indices, closed_form in RIHACZEK_CASES:
         ratio = _ratio(theorem, indices, f, f)
         assert abs(ratio / closed_form - 1) > 1e-3, (theorem, ratio)
+
+
+#: (q, u, v) for the uncertainty chain: w from 1/w = clamp(1/u + 1/v - 1,
+#: 0, 1/2), so w = 2 and w = inf both occur, and so do r = inf and r = 2
+CHAIN_INDICES = [
+    (4, 1, 1),
+    (3, 1, 1),
+    (6, 1, 1),
+    (4, 2, 2),
+    (4, 1, 2),
+    (3, Fraction(3, 2), 3),
+    (4, math.inf, math.inf),
+]
+
+
+def _chain_ratio(q, u, v) -> float:
+    """1 / (2 (q/w)^{1/w} (s/r)^{1/r}), with (x/inf)^{1/inf} read as 1."""
+    inv = lambda x: Fraction(0) if x == math.inf else 1 / Fraction(x)
+    inv_w = min(max(inv(u) + inv(v) - 1, Fraction(0)), Fraction(1, 2))
+    inv_r = Fraction(1, 2) - inv_w
+    inv_s = Fraction(1, 2) - inv(q)
+    q_w = float(q * inv_w) ** float(inv_w) if inv_w else 1.0
+    s_r = float(inv_r / inv_s) ** float(inv_r) if inv_r else 1.0
+    return 1 / (2 * q_w * s_r)
+
+
+@pytest.mark.parametrize("weight", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("orders, steps", SUBGROUPS)
+def test_uncertainty_chain_of_subgroup_indicator(orders, steps, weight) -> None:
+    """With f = g = 1_H and Omega = H x H^perp, |V_g f| = mu(H) on Omega
+    and 0 elsewhere, and Omega has measure 1.  So eps = mu(H)^2,
+    ||V_g f||_{q,w} = mu(H) (q/w)^{1/w} and ||1_Omega||_{s,r} = (s/r)^{1/r},
+    and the chain's two sides have the ratio
+    sqrt(eps) / (2 ||V_g f||_{q,w} ||1_Omega||_{s,r})
+    = 1 / (2 (q/w)^{1/w} (s/r)^{1/r}): 1/(2 sqrt 2) at q = 4, u = v = 1.
+    Omega is built from H and H^perp, not read off |V_g f|."""
+    grp = FiniteAbelianGroup(orders, haar_weight=weight)
+    f = _indicator(grp, steps)
+    perp = _indicator(grp, [n // step for n, step in zip(orders, steps)])
+    omega = np.outer(f.values.real > 0, perp.values.real > 0)
+    mu = grp.measure(math.prod(n // step for n, step in zip(orders, steps)))
+    for q, u, v in CHAIN_INDICES:
+        eps, lhs, rhs, _, holds = uncertainty_check(f, f, omega, q, u, v)
+        assert eps == pytest.approx(mu**2, rel=1e-12), (q, u, v)
+        assert holds and lhs / rhs == pytest.approx(_chain_ratio(q, u, v), rel=1e-12), (q, u, v)

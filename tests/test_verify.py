@@ -389,8 +389,8 @@ def test_majorization_zero_function() -> None:
 def majorization_parts(f, g, eta):
     """(V_g f)*, and S_eta(f*, g*) at its breaks, one scalar call per break."""
     hstar = rearrangement(stft(f, g).to_measured())
-    fstar = rearrangement(f.to_measured().abs())
-    gstar = rearrangement(g.to_measured().abs())
+    fstar = rearrangement(f.to_measured())
+    gstar = rearrangement(g.to_measured())
     s_vals = [calderon_apply(eta, fstar, gstar, b) for b in hstar.breaks.tolist()]
     return hstar, fstar, gstar, s_vals
 
