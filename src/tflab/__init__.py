@@ -26,7 +26,6 @@ from .calderon import (
 from .exponents import (
     Exponent,
     ExponentLike,
-    as_float,
     conjugate,
     format_exponent,
     is_inf,

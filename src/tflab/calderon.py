@@ -34,7 +34,6 @@ import numpy as np
 from .exponents import (
     Exponent,
     ExponentLike,
-    as_float,
     is_inf,
     parse_exponent,
     recip,
@@ -195,7 +194,7 @@ def convolution_norm(f: StepFunction, g: StepFunction, w: ExponentLike) -> float
     if f.values[0] > 0 or g.values[0] > 0:
         # a nonzero constant or log-affine head has infinite dx/x mass
         return math.inf
-    wf = as_float(w)
+    wf = float(w)
     top = np.maximum(np.maximum(h[:-1], h[1:]), 0.0)
     low = np.maximum(np.minimum(h[:-1], h[1:]), 0.0)
     live = top > 0
@@ -255,7 +254,7 @@ def _hardy_form1_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
         for lo, hi, alpha, beta in segments:
             sup = max(sup, _sup_power_affine(delta - 1, alpha, beta, lo, hi))
         return sup
-    qf = as_float(q)
+    qf = float(q)
     lo, hi, alpha, beta = np.array(segments, dtype=np.float64).reshape(-1, 4).T
     live = (alpha != 0) | (beta != 0)
     middle = live & (lo > 0) & np.isfinite(hi)
@@ -405,7 +404,7 @@ def _hardy_form2_lhs(phi: StepFunction, delta: float, q: Exponent) -> float:
         for lo, hi, e_j, v in segments:
             sup = max(sup, _sup_exp_affine(gamma1, e_j, -v, lo, hi))
         return sup
-    qf = as_float(q)
+    qf = float(q)
     live = [seg for seg in segments if seg[2] != 0 or seg[3] != 0]
     _, _, e, v = np.array(live, dtype=np.float64).reshape(-1, 4).T
     # from lo = 0, truncate where the exponential has decayed far below scale
@@ -466,7 +465,7 @@ def hardy_check(
         raise ValueError(f"delta must be < 1, got {delta}")
     if not is_inf(q) and q < 1:
         raise ValueError(f"q must lie in [1, inf], got {q}")
-    df = as_float(delta)
+    df = float(delta)
     constant = 1.0 / (1.0 - df)
     lhs1 = _hardy_form1_lhs(phi, df, q)
     lhs2 = _hardy_form2_lhs(phi, df, q)
@@ -535,6 +534,11 @@ def _calderon_corners(
     Q - e.  A divergent end contributes a function of P alone or of Q
     alone, which cancels in the sum unless its weight f*(0+) or g*(0+) is
     positive; then S = inf.
+
+    Accuracy: a piece of f* or g* of relative width delta (b_i = b_{i-1}(1 +
+    delta)) enters as a difference of the corner integrals at its two ends,
+    so S is within 1e-14/delta relative of the exact rectangle sum; when f*
+    and g* each have such a piece, within 1e-14/delta^2 (tests pin both).
     """
     a, b, c = eta._abc.T
     m = a[0] + b[0]
@@ -763,14 +767,14 @@ def halfline_lorentz_functional(
         raise TypeError(
             f"h must be a StepFunction or a PiecewiseMonomial, got {type(h).__name__}"
         )
-    ef = as_float(e)
+    ef = float(e)
     if is_inf(w):
         sup = 0.0
         for lo, hi, coef, expo in h.pieces:
             if coef > 0:
                 sup = max(sup, coef * power_sup(ef + expo, lo, hi))
         return sup
-    wf = as_float(w)
+    wf = float(w)
     total = 0.0
     for lo, hi, coef, expo in h.pieces:
         if coef > 0:
@@ -829,7 +833,7 @@ def calderon_t_functional(
     m_bound = sqrt_moment(fstar) * sqrt_moment(gstar)
     if s0 == 0 or m_bound == 0:
         return 0.0
-    ef = as_float(recip(q))
+    ef = float(recip(q))
     if is_inf(w):
         # sup on (0,1] is exact: t^{1/q} S0 peaks at t = 1
         head = s0 * power_sup(ef, 0.0, 1.0)
@@ -852,7 +856,7 @@ def calderon_t_functional(
             s = np.append(s, _calderon_corners(eta, fstar, gstar, new))
             order = np.argsort(ts)
             ts, s = ts[order], s[order]
-    wf = as_float(w)
+    wf = float(w)
     head = s0**wf * power_integral(ef * wf, 0.0, 1.0)
     if math.isinf(head):
         return math.inf

@@ -309,7 +309,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_extremize(args: argparse.Namespace) -> int:
     instance = _build_instance(args)
-    best, f, g = extremizer_search(instance, args.budget, restarts=args.restarts)
+    best, f, g = extremizer_search(instance, args.budget)
     payload = {
         "best_ratio": best,
         "f": _dump_values(f.values)["values"],
@@ -509,8 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--csv", help="per-trial CSV path")
             sub.set_defaults(func=_cmd_verify)
         else:
-            sub.add_argument("--budget", type=int, default=500, help="perturbations to try")
-            sub.add_argument("--restarts", type=int, default=20, help="independent climbs")
+            sub.add_argument("--budget", type=int, default=500,
+                             help="proposals (ratio evaluations) after the sweep;"
+                             " a run is a prefix of every longer one")
             sub.add_argument("--out", help="write canonical JSON here instead of stdout")
             sub.set_defaults(func=_cmd_extremize)
 

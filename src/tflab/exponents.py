@@ -16,7 +16,6 @@ __all__ = [
     "Exponent",
     "ExponentLike",
     "parse_exponent",
-    "as_float",
     "is_inf",
     "recip",
     "conjugate",
@@ -51,10 +50,6 @@ def parse_exponent(text: Union[str, int, float, Fraction]) -> Exponent:
 
 def is_inf(x: Exponent) -> bool:
     return isinstance(x, float) and math.isinf(x)
-
-
-def as_float(x: Exponent) -> float:
-    return float(x)
 
 
 def recip(x: Exponent) -> Exponent:

@@ -33,7 +33,6 @@ import numpy as np
 
 from .exponents import (
     ExponentLike,
-    as_float,
     conjugate,
     is_inf,
     parse_exponent,
@@ -309,7 +308,7 @@ def _pieces_functional(
     """
     e = parse_exponent(e)
     q = parse_exponent(q)
-    ef = as_float(e)
+    ef = float(e)
     if not is_inf(q) and q <= 0:
         raise ValueError(f"exponent q must be positive, got {q}")
     if not values.size:
@@ -330,7 +329,7 @@ def _pieces_functional(
         else:
             ends = (his if ef > 0 else lows) ** ef
         return scale * float(np.max(np.multiply(values, ends, out=values)))
-    qf = as_float(q)
+    qf = float(q)
     a = ef * qf
     # one new buffer for the pieces, the values overwritten in place
     if a == 0:
@@ -420,7 +419,7 @@ def lorentz_norm_via_distribution(
     q = parse_exponent(q)
     if is_inf(p) or p <= 0:
         raise ValueError(f"this route requires p in (0, inf), got {p}")
-    pf = as_float(p)
+    pf = float(p)
     mags = np.abs(f.values)
     keep = mags > 0
     mags, weights = mags[keep], f.weights[keep]
@@ -436,7 +435,7 @@ def lorentz_norm_via_distribution(
     tails = np.cumsum(weights[::-1])[::-1][starts]
     if is_inf(q):
         return scale * float(np.max(alphas * tails ** (1.0 / pf)))
-    qf = as_float(q)
+    qf = float(q)
     prev = np.concatenate(([0.0], alphas[:-1]))
     total = float(np.sum(tails ** (qf / pf) * (alphas**qf - prev**qf)))
     return scale * (pf / qf * total) ** (1.0 / qf)
@@ -477,7 +476,7 @@ def holder_check(
         raise ValueError(f"derived exponent p must exceed 1, got {p}")
     lhs = lorentz_norm(f.pointwise_product(g), p, q)
     rhs = (
-        as_float(conjugate(p))
+        float(conjugate(p))
         * lorentz_norm(f, p1, q1)
         * lorentz_norm(g, p2, q2)
     )
@@ -495,8 +494,8 @@ def embedding_constant(p: ExponentLike, q: ExponentLike, r: ExponentLike) -> flo
         return 1.0
     if not is_inf(r) and r < q:
         raise ValueError(f"embedding needs q <= r, got q={q}, r={r}")
-    expo = as_float(recip(q)) - as_float(recip(r))
-    return (as_float(q) / as_float(p)) ** expo
+    expo = float(recip(q)) - float(recip(r))
+    return (float(q) / float(p)) ** expo
 
 
 def embedding_check(

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .exponents import ExponentLike, as_float, conjugate, is_inf, parse_exponent
+from .exponents import ExponentLike, conjugate, is_inf, parse_exponent
 from .groups import ElementLike, FiniteAbelianGroup, GroupEndomorphism
 from .lorentz import MeasuredFunction, _lorentz_norm
 
@@ -98,7 +98,7 @@ class GroupFunction:
         mags = np.abs(self.values)
         if is_inf(p):
             return float(mags.max()) if mags.size else 0.0
-        pf = as_float(p)
+        pf = float(p)
         if pf <= 0:
             raise ValueError(f"exponent p must be positive, got {p}")
         return float(
@@ -151,7 +151,7 @@ class TFArray:
         mags = np.abs(self.values)
         if is_inf(q):
             return float(mags.max())
-        qf = as_float(q)
+        qf = float(q)
         if qf <= 0:
             raise ValueError(f"exponent q must be positive, got {q}")
         return float((self.atom_weight * np.sum(mags**qf)) ** (1.0 / qf))

@@ -21,7 +21,6 @@ from tflab import (
     MeasuredFunction,
     StepFunction,
     TFArray,
-    as_float,
     calderon_apply,
     is_inf,
     parse_exponent,
@@ -152,7 +151,7 @@ def restricted_weak_type_lhs_oracle(
     gv[list(v_set)] = 1.0
     h = stft_via_inner_products(GroupFunction(grp, fu), GroupFunction(grp, gv))
     hstar = rearrangement(h.to_measured())
-    alpha = as_float(recip(parse_exponent(r)))
+    alpha = float(recip(parse_exponent(r)))
     lhs = max(t**alpha * double_star_oracle(hstar, t) for t in hstar.breaks.tolist())
     return max(lhs, hstar.sup) if is_inf(parse_exponent(r)) else lhs
 
@@ -168,7 +167,7 @@ def pieces_functional_two_power(
     as his**a - lows**a, from one power pass over each end.  Reads its
     arrays without writing them."""
     e, q = parse_exponent(e), parse_exponent(q)
-    ef = as_float(e)
+    ef = float(e)
     if not values.size:
         return 0.0
     scale = float(values.max())
@@ -181,7 +180,7 @@ def pieces_functional_two_power(
         if ef == 0:
             return scale
         return scale * float(np.max(values * (his if ef > 0 else lows) ** ef))
-    qf = as_float(q)
+    qf = float(q)
     a = ef * qf
     if a == 0:
         pieces = np.log(his / lows)
@@ -492,21 +491,25 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
     In lam = log t the measure dt/t is d lam, and each piece of phi is one
     adaptive Gauss integral.  The half-lines before the first and past the
     last breakpoint are cut where the integrand's exponential factor has
-    fallen by e^80.  Form 1 diverges at 0 exactly when phi is positive on
+    fallen by e^80; the powers of t and the logs are taken from lam, so
+    the cuts, 80/(q(1 - delta)) long, stay in the float range near
+    delta = 1.  Form 1 diverges at 0 exactly when phi is positive on
     its first piece and delta <= 0 (delta < 0 for the sup); form 2 never
     does, as delta < 1.  For q = inf each sup is the maximum over a dense
     geometric grid, refined three times around the argmax.
     """
     q = parse_exponent(q)
     lows, highs, vals = phi.lows, phi.breaks, phi.values
+    log_highs = np.log(highs)
+    log_lows = np.log(lows, out=np.full_like(lows, -np.inf), where=lows > 0)
 
-    def form1(t: np.ndarray) -> np.ndarray:
-        cover = np.clip(np.minimum(t[:, None], highs) - lows, 0.0, None)
-        return t ** (delta - 1) * (cover * vals).sum(axis=1)
+    def form1(lam: np.ndarray) -> np.ndarray:
+        cover = np.clip(np.exp(np.minimum(lam[:, None], log_highs)) - lows, 0.0, None)
+        return np.exp((delta - 1) * lam) * (cover * vals).sum(axis=1)
 
-    def form2(t: np.ndarray) -> np.ndarray:
-        logs = np.clip(np.log(highs / np.maximum(t[:, None], lows)), 0.0, None)
-        return t ** (1 - delta) * (logs * vals).sum(axis=1)
+    def form2(lam: np.ndarray) -> np.ndarray:
+        logs = np.clip(log_highs - np.maximum(lam[:, None], log_lows), 0.0, None)
+        return np.exp((1 - delta) * lam) * (logs * vals).sum(axis=1)
 
     head_diverges = vals[0] > 0 and (delta < 0 or (delta == 0 and q != math.inf))
     if q == math.inf:
@@ -515,7 +518,7 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
             grid = np.union1d(np.geomspace(highs[0] * 1e-4, highs[-1] * 1e4, 20001), highs)
             best = 0.0
             for _ in range(4):
-                vals_h = h(grid)
+                vals_h = h(np.log(grid))
                 k = int(np.argmax(vals_h))
                 best = max(best, float(vals_h[k]))
                 grid = np.geomspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], 2001)
@@ -524,12 +527,12 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
         return (math.inf if head_diverges else sup(form1)), sup(form2)
 
     qf = float(q)
-    edges = np.log(highs).tolist()
+    edges = log_highs.tolist()
     inner = list(zip(edges, edges[1:]))
 
     def norm(h: Callable[[np.ndarray], np.ndarray], pieces) -> float:
         total = sum(
-            adaptive_gauss_oracle(lambda lam: h(np.exp(lam)) ** qf, lo, hi)
+            adaptive_gauss_oracle(lambda lam: h(lam) ** qf, lo, hi)
             for lo, hi in pieces
         )
         return total ** (1 / qf)

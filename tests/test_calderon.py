@@ -257,6 +257,16 @@ def test_hardy_lhs_matches_defining_integrals(delta, q) -> None:
                 assert got == pytest.approx(exact, rel=rel), (phi, got, exact)
 
 
+@pytest.mark.parametrize("q", [2, "3/2"])
+@pytest.mark.parametrize("delta", [0.9, 0.99])
+def test_hardy_lhs_matches_defining_integrals_near_delta_one(delta, q) -> None:
+    # the oracle's tail and head cuts are 80/(q(1 - delta)) long in log t
+    phi = StepFunction([0.01, 0.5, 3.0, 40.0], [0.0, 2.0, 1.0, 3.0])
+    res = hardy_check(phi, delta, q)
+    for got, exact in zip((res.lhs1, res.lhs2), hardy_lhs_oracle(phi, delta, q)):
+        assert got == pytest.approx(exact, rel=1e-8), (got, exact)
+
+
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 @pytest.mark.parametrize("delta", [0.25, 0.75])
 def test_hardy_lhs_matches_mpmath_reference(delta, q) -> None:
@@ -441,13 +451,19 @@ def test_corner_form_divergent_kernel_cases() -> None:
 
 
 def test_corner_form_error_grows_as_inverse_piece_width() -> None:
+    # the bound in the _calderon_corners docstring: 1e-14/delta for one
+    # piece of relative width delta, 1e-14/delta^2 when f* and g* both
+    # have one (measured: at most 2.5e-15/delta and 4.6e-15/delta^2)
     g = StepFunction([0.5, 2.0, 3.0], [2.0, 0.0, 1.0])
-    for d in (1e-2, 1e-4, 1e-6):
-        f = StepFunction([1.3, 1.3 * (1 + d)], [0.0, 1.0])
-        for eta in (ETA_SQRT_MIN, ETA_SEPARABLE):
-            for t in (0.01, 1.0, 50.0):
-                want = calderon_exact_oracle(eta, f, g, t)
-                assert calderon_apply(eta, f, g, t) == pytest.approx(want, rel=1e-13 / d)
+    ts = np.geomspace(0.01, 100.0, 9)
+    for d in (1e-1, 1e-2, 1e-3, 1e-4, 1e-6):
+        for x, v in ((0.05, 1.0), (1.3, 1.0), (20.0, 2.5)):
+            f = StepFunction([x, x * (1 + d)], [0.0, v])
+            for eta in (ETA_SQRT_MIN, ETA_SEPARABLE):
+                for other, rel in ((g, 1e-14 / d), (f, 1e-14 / d**2)):
+                    want = [calderon_exact_oracle(eta, f, other, float(t)) for t in ts]
+                    got = calderon_apply(eta, f, other, ts)
+                    np.testing.assert_allclose(got, want, rtol=rel, atol=0)
 
 
 def test_calderon_apply_array_matches_scalar_calls() -> None:

@@ -279,12 +279,20 @@ def test_seed_default_is_42(capsys, workdir, monkeypatch) -> None:
 def test_extremize_reports_ratio(capsys, workdir) -> None:
     code, out = run(
         capsys, "extremize", "--theorem", "t2", "--group", "6", "--q", "3",
-        "--trials", "3", "--budget", "10", "--restarts", "2",
+        "--trials", "3", "--budget", "10",
     )
     assert code == 0
     data = json.loads(out)
     assert data["best_ratio"] > 0
     assert len(data["f"]) == 6
+
+
+def test_extremize_has_no_restarts_flag(capsys) -> None:
+    code, _ = run(
+        capsys, "extremize", "--theorem", "t2", "--group", "6", "--q", "3",
+        "--trials", "3", "--budget", "10", "--restarts", "2",
+    )
+    assert code == 2
 
 
 def test_uncertainty_chain_roundtrip(capsys, workdir) -> None:

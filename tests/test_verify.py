@@ -574,8 +574,41 @@ def test_extremizer_budget_zero_matches_suite_max() -> None:
 def test_extremizer_improves_with_budget() -> None:
     inst = make("t1", trials=4, **T1)
     base, _, _ = extremizer_search(inst, budget=0)
-    better, _, _ = extremizer_search(inst, budget=60, restarts=3)
+    better, _, _ = extremizer_search(inst, budget=60)
     assert better >= base - 1e-12
+
+
+EXTREMIZE_CASES = [
+    make("t1", group=(16,), trials=8, **T1),
+    make("t3ii", group=(9,), tau=((2,),), trials=8, **T1),
+]
+
+
+@pytest.mark.parametrize("inst", EXTREMIZE_CASES, ids=["t1-z16", "t3ii-z9"])
+def test_extremizer_result_never_falls_with_budget(inst) -> None:
+    # a run is a prefix of every longer one
+    results = [extremizer_search(inst, budget)[0] for budget in (0, 10, 100, 1000)]
+    assert results == sorted(results)
+    assert results[-1] > results[0]
+
+
+@pytest.mark.parametrize("inst", EXTREMIZE_CASES, ids=["t1-z16", "t3ii-z9"])
+def test_extremizer_spends_the_whole_budget(inst, monkeypatch) -> None:
+    calls = []
+
+    def counted(transform):
+        def call(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+
+        return call
+
+    for name in ("stft", "wigner_tau"):
+        monkeypatch.setattr(verify_mod, name, counted(getattr(verify_mod, name)))
+    for budget in (0, 10, 37, 100):
+        calls.clear()
+        extremizer_search(inst, budget)
+        assert len(calls) == inst.trials + budget
 
 
 def test_extremizer_rejects_negative_budget_and_t5() -> None:
