@@ -6,13 +6,11 @@ functions into piecewise-constant integrands over (possibly half-infinite)
 intervals and the Calderon kernels into piecewise exponentials.  Both the
 convolution and the Calderon operators read a step function in corner
 form, f = sum_i df_i 1_(0, b_i] with df = ``StepFunction.jumps``, so each
-is a sum over pairs of corners (breakpoints of the two functions) taken as
-one array expression.  For the convolution a pair contributes
-df_i dg_j log(b_i c_j / x)_+.  When the Calderon kernel's minimum
-structure decomposes into diagonal bands (which covers both canonical
-kernel sets), S_eta(f*, g*)(t) sums the kernel's integral over one corner
-of the log plane, for a whole grid of t at once.  A truncated log-grid
-quadrature covers every other kernel.
+is a sum over pairs of corners (breakpoints of the two functions), sorted
+once: for the convolution by b_i c_j, and for a Calderon kernel whose
+minimum splits into diagonal bands (both canonical kernel sets) by
+log c_j - log b_i, so that each t reads a few cumulative sums per band.  A
+truncated log-grid quadrature covers every other kernel.
 
 Whatever is not in closed form goes through one adaptive Gauss-Legendre
 integrator (``_adaptive_gauss``), which takes all of a caller's intervals
@@ -61,13 +59,6 @@ __all__ = [
 ]
 
 _NEG_INF = -math.inf
-
-#: Most (t, branch, f* corner, g* corner) cells in one pass of the
-#: corner-form evaluator, which takes as many t values per pass as fit, and at
-#: least one.  2^14 cells, 128 KiB per float temporary, is the measured knee:
-#: smaller passes pay more per-pass overhead, larger ones leave the cache.
-#: The budget is also what bounds the evaluator's memory on a large group.
-_CORNER_CELLS = 1 << 14
 
 #: Largest number of subintervals whose Gauss nodes the adaptive integrator
 #: hands its integrand at once.
@@ -337,7 +328,8 @@ def _adaptive_gauss(
     with which[r] the index i of the interval that row r lies in, and
     returns the integrand at x.  Each level bisects every live subinterval
     and evaluates all the halves in one call (in blocks of at most
-    _GAUSS_ROWS rows).  A half-pair is accepted where
+    _GAUSS_ROWS rows); the first level's call also takes the whole
+    intervals.  A half-pair is accepted where
     |left + right - whole| <= rtol (|whole| + 1e-300), at depth > 24, or
     when more than _GAUSS_LIVE pairs of its level would stay live.  The
     accepted sums are then added back up the bisection tree, left child
@@ -356,15 +348,19 @@ def _adaptive_gauss(
 
     a, b = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
     which = np.arange(a.size)
-    whole = estimate(a, b, which)
     levels = []  # (left + right, accepted) for the live pairs of each level
     depth = 0
     while a.size:
         mid = (a + b) / 2
         # the halves of interval k sit at rows 2k (left) and 2k + 1 (right)
-        a, b = np.stack((a, mid), axis=1).ravel(), np.stack((mid, b), axis=1).ravel()
-        which = np.repeat(which, 2)
-        halves = estimate(a, b, which)
+        left, right = np.stack((a, mid), axis=1).ravel(), np.stack((mid, b), axis=1).ravel()
+        halved = np.repeat(which, 2)
+        if depth:
+            halves = estimate(left, right, halved)
+        else:
+            both = estimate(np.append(a, left), np.append(b, right), np.append(which, halved))
+            whole, halves = both[:a.size], both[a.size:]
+        a, b, which = left, right, halved
         pair = halves[0::2] + halves[1::2]
         done = np.abs(pair - whole) <= rtol * (np.abs(whole) + 1e-300)
         done |= depth > 24 or done.size - np.count_nonzero(done) > _GAUSS_LIVE
@@ -525,66 +521,70 @@ def _calderon_corners(
 ) -> np.ndarray:
     """S_eta(f*, g*) at every t in ts, for a band-decomposable eta.
 
-    With f* = sum_i df_i 1_(0, b_i] and g* = sum_j dg_j 1_(0, c_j],
-    S(t) = sum_ij df_i dg_j H(log b_i, log c_j), where H(P, Q) integrates
-    the kernel over {rho < P, sigma < Q} in log coordinates.  In
-    e = sigma - rho the kernel is e^{m rho} e^{b_k e - c_k log t} on branch
-    k's interval (m = a_k + b_k), so H sums per branch two exponential
-    integrals split at e = Q - P, where the bound on rho turns from P to
-    Q - e.  A divergent end contributes a function of P alone or of Q
-    alone, which cancels in the sum unless its weight f*(0+) or g*(0+) is
-    positive; then S = inf.
+    S sums w H(P, Q) over the corner pairs of f* = sum df_i 1_(0, b_i] and
+    g* = sum dg_j 1_(0, c_j] (w = df_i dg_j, P = log b_i, Q = log c_j), H the
+    kernel's integral over {rho < P, sigma < Q}.  On branch k's interval
+    (L, U) of e = sigma - rho the kernel is e^{m rho + b_k e + d_k}
+    (m = a_k + b_k, d_k = -c_k log t); rho < P below the gap s = Q - P and
+    rho < Q - e above it, so m H gains e^{mP} [F1(min(U, s)) - F1(L)] if
+    s > L and e^{mQ} [F2(U) - F2(max(L, s))] if s < U, with F1, F2 the
+    ``_exp_antiderivative`` of e^{d_k + b_k x}, e^{d_k - a_k x}.  With the
+    pairs sorted by s, each t reads five cumulative sums per branch where
+    ``searchsorted`` puts L and U: w e^{mP} over s >= U and s > L, w e^{mQ}
+    over s < U and s <= L, and M_k = e^{-d_k} (e^{mP} F1(s) - e^{mQ} F2(s))
+    = w e^{a_k P + b_k Q} (1/a_k + 1/b_k) over L < s < U (s for 1/b_k where
+    b_k = 0, -s for 1/a_k where a_k = 0).  A divergent end's finite part is
+    a function of P or Q alone, which cancels unless f*(0+) or g*(0+)
+    weights it; then S = inf.  When m = 0, S = e^{min_k d_k} (df.P)(dg.Q).
 
-    Accuracy: a piece of f* or g* of relative width delta (b_i = b_{i-1}(1 +
-    delta)) enters as a difference of the corner integrals at its two ends,
-    so S is within 1e-14/delta relative of the exact rectangle sum; when f*
-    and g* each have such a piece, within 1e-14/delta^2 (tests pin both).
+    Accuracy: the middle sum is a difference of cumulative sums, from the
+    side with less |M_k| outside (L, U); there M_k exceeds a pair's own term
+    of S by up to e^{a_k (L - s)} below L, e^{b_k (s - U)} above U.  A piece
+    of f* or g* of relative width delta enters as a difference of the terms
+    at its two ends: S is within 1e-14/delta relative of the exact rectangle
+    sum, 1e-14/delta^2 when f* and g* each have one (tests pin both).
     """
     a, b, c = eta._abc.T
     m = a[0] + b[0]
     (p, df), (q, dg) = ((np.log(sf.breaks), sf.jumps) for sf in (fstar, gstar))
-    weight = np.multiply.outer(df, dg)
     f_at_0, g_at_0 = (len(sf) > 0 and sf.values[0] > 0 for sf in (fstar, gstar))
     f_live, g_live = (bool(np.any(sf.values > 0)) for sf in (fstar, gstar))
-    # axes: (t, branch, f* corner, g* corner)
-    a4, b4 = a[None, :, None, None], b[None, :, None, None]
-    split = (q[None, :] - p[:, None])[None, None]
-    out = np.empty(ts.size)
-    block = max(1, _CORNER_CELLS // max(1, a.size * weight.size))
-    for start in range(0, ts.size, block):
-        log_t = np.log(ts[start:start + block])
-        # branch k is the line b_k e + d_k in e, with d_k = -c_k log t
-        icpt = np.multiply.outer(log_t, -c)
-        lo, hi = _branch_intervals(b, icpt)
-        if m == 0:
-            # every a_k = b_k = 0: the kernel is a constant in r and s
-            h = np.exp(icpt.min(axis=1))[:, None, None] * np.multiply.outer(p, q)
-        else:
-            lo4, hi4 = lo[:, :, None, None], hi[:, :, None, None]
-            # the (t, branch, corner, corner) arrays are updated in place,
-            # since they set the peak memory
-            # e < Q - P: rho runs up to P
-            base = m * p[:, None] + icpt[:, :, None, None]
-            edge = np.minimum(hi4, split)
-            h = _exp_antiderivative(base, b4, edge)
-            h -= _exp_antiderivative(base, b4, lo4)
-            h[edge <= lo4] = 0.0
-            # e > Q - P: rho runs up to Q - e
-            base = m * q[None, :] + icpt[:, :, None, None]
-            edge = np.maximum(lo4, split, out=edge)
-            above = _exp_antiderivative(base, -a4, edge)
-            np.subtract(_exp_antiderivative(base, -a4, hi4), above, out=above)
-            above[hi4 <= edge] = 0.0
-            h += above
-            h = h.sum(axis=1) / m
-        s = (h * weight).sum(axis=(1, 2))
-        # the branch winning as e -> +inf (r -> 0) has a_k = 0, or as e -> -inf b_k = 0
-        live = lo < hi
-        r_diverges = (live & (hi == math.inf) & (a == 0)).any(axis=1)
-        s_diverges = (live & (lo == _NEG_INF) & (b == 0)).any(axis=1)
-        diverges = (f_at_0 and g_live) & r_diverges | (g_at_0 and f_live) & s_diverges
-        out[start:start + log_t.size] = np.where(diverges, math.inf, s)
-    return out
+    # branch k is the line b_k e + d_k in e, on axes (t, branch)
+    icpt = np.multiply.outer(np.log(ts), -c)
+    lo, hi = _branch_intervals(b, icpt)
+    live = lo < hi
+    if m == 0:
+        # every a_k = b_k = 0: the kernel is a constant in r and s
+        s = np.exp(icpt.min(axis=1)) * float(df @ p) * float(dg @ q)
+    else:
+        # the pairs (i, j), sorted by their gap q_j - p_i
+        i, j = np.divmod(np.argsort((q - p[:, None]).ravel(), kind="stable"), q.size)
+        gap, k = q[j] - p[i], a.size
+        # rows of weights: M_k for each branch, then w e^{mP} and w e^{mQ}
+        wts = np.exp(np.multiply.outer(np.append(a, [m, 0.0]), p))[:, i] * df[i]
+        wts *= np.exp(np.multiply.outer(np.append(b, [0.0, m]), q))[:, j] * dg[j]
+        inv_a, inv_b = (np.divide(1.0, x, out=np.zeros(k), where=x != 0) for x in (a, b))
+        wts[:k] *= np.multiply.outer((b == 0) * 1.0 - (a == 0), gap) + (inv_a + inv_b)[:, None]
+        # sums before each index (the rows, then |M_k|) and from it on (M_k, w e^{mP})
+        up, down = np.zeros((2 * k + 2, gap.size + 1)), np.zeros((k + 1, gap.size + 1))
+        np.cumsum(np.concatenate((wts, np.abs(wts[:k]))), axis=1, out=up[:, 1:])
+        np.cumsum(wts[:k + 1, ::-1], axis=1, out=down[:, :-1][:, ::-1])
+        # #{s < U} and #{s <= L}: the pairs between them are in the middle
+        at = np.array((np.searchsorted(gap, hi), np.searchsorted(gap, lo, side="right")))
+        branch = np.arange(k)
+        mid_up, mid_down, mass = up[branch, at], down[branch, at], up[branch + k + 2, at]
+        fewer_below = mass[1] <= up[branch + k + 2, -1] - mass[0]
+        middle = np.where(fewer_below, mid_up[0] - mid_up[1], mid_down[1] - mid_down[0])
+        # F1 and F2 at U and at L, times the sums of w e^{mP} and w e^{mQ}
+        terms = _exp_antiderivative(icpt, np.array((b, -a))[:, None, None], np.array((hi, lo)))
+        terms *= np.array((down[k, at], up[k + 1, at]))
+        h = (terms[:, 0] - terms[:, 1]).sum(axis=0) + np.exp(icpt) * middle
+        s = np.where(live, h, 0.0).sum(axis=1) / m
+    # the branch winning as e -> +inf (r -> 0) has a_k = 0, or as e -> -inf b_k = 0
+    r_diverges = (live & (hi == math.inf) & (a == 0)).any(axis=1)
+    s_diverges = (live & (lo == _NEG_INF) & (b == 0)).any(axis=1)
+    diverges = (f_at_0 and g_live) & r_diverges | (g_at_0 and f_live) & s_diverges
+    return np.where(diverges, math.inf, s)
 
 
 def _calderon_quadrature(

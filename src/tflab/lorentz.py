@@ -188,7 +188,7 @@ class StepFunction:
     def jumps(self) -> np.ndarray:
         """Drop at each breakpoint: values[i] - values[i+1], with 0 past the
         end, so the function is the sum of jumps[i] * 1_(0, breaks[i]]."""
-        return -np.diff(self.values, append=0.0)
+        return self.values - np.concatenate((self.values[1:], [0.0]))
 
     @property
     def sup(self) -> float:

@@ -32,7 +32,7 @@ from tflab import (
     tf_shift,
     wigner_tau,
 )
-from tflab.calderon import _NEG_INF, _gauss_legendre
+from tflab.calderon import _NEG_INF, _branch_intervals, _exp_antiderivative, _gauss_legendre
 from tflab.tfa import _dft_rows
 
 
@@ -426,6 +426,57 @@ def calderon_exact_oracle(eta: EtaSet, fstar: StepFunction, gstar: StepFunction,
     return total
 
 
+def calderon_cells_oracle(
+    eta: EtaSet, fstar: StepFunction, gstar: StepFunction, ts: np.ndarray
+) -> np.ndarray:
+    """S_eta(f*, g*) at every t in ts, for a band-decomposable eta, cell by
+    cell: each (branch, f* corner, g* corner) cell's corner integral H is
+    taken on its own, then weighted by df_i dg_j and summed, one t at a time.
+
+    H(P, Q) integrates the kernel over {rho < P, sigma < Q} in log
+    coordinates.  In e = sigma - rho the kernel is e^{m rho} e^{b_k e - c_k
+    log t} on branch k's interval (m = a_k + b_k), so H sums per branch two
+    exponential integrals split at e = Q - P, where the bound on rho turns
+    from P to Q - e.  A divergent end contributes a function of P alone or
+    of Q alone, which cancels in the sum unless its weight f*(0+) or
+    g*(0+) is positive; then S = inf.
+    """
+    a, b, c = eta._abc.T
+    m = a[0] + b[0]
+    (p, df), (q, dg) = ((np.log(sf.breaks), sf.jumps) for sf in (fstar, gstar))
+    weight = np.multiply.outer(df, dg)
+    f_at_0, g_at_0 = (len(sf) > 0 and sf.values[0] > 0 for sf in (fstar, gstar))
+    f_live, g_live = (bool(np.any(sf.values > 0)) for sf in (fstar, gstar))
+    # axes: (branch, f* corner, g* corner)
+    a3, b3 = a[:, None, None], b[:, None, None]
+    split = (q[None, :] - p[:, None])[None]
+    out = []
+    for log_t in np.log(np.asarray(ts, dtype=np.float64)).tolist():
+        icpt = -c * log_t
+        lo, hi = _branch_intervals(b, icpt)
+        if m == 0:
+            h = math.exp(icpt.min()) * np.multiply.outer(p, q)
+        else:
+            lo3, hi3 = lo[:, None, None], hi[:, None, None]
+            # e < Q - P: rho runs up to P
+            base = m * p[:, None] + icpt[:, None, None]
+            edge = np.minimum(hi3, split)
+            below = _exp_antiderivative(base, b3, edge) - _exp_antiderivative(base, b3, lo3)
+            below[edge <= lo3] = 0.0
+            # e > Q - P: rho runs up to Q - e
+            base = m * q[None, :] + icpt[:, None, None]
+            edge = np.maximum(lo3, split)
+            above = _exp_antiderivative(base, -a3, hi3) - _exp_antiderivative(base, -a3, edge)
+            above[hi3 <= edge] = 0.0
+            h = (below + above).sum(axis=0) / m
+        live = lo < hi
+        diverges = (f_at_0 and g_live and (live & (hi == math.inf) & (a == 0)).any()) or (
+            g_at_0 and f_live and (live & (lo == _NEG_INF) & (b == 0)).any()
+        )
+        out.append(math.inf if diverges else float((h * weight).sum()))
+    return np.array(out)
+
+
 # -- the majorization ratio sampled on a grid ----------------------------------
 
 
@@ -493,9 +544,10 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
     last breakpoint are cut where the integrand's exponential factor has
     fallen by e^80; the powers of t and the logs are taken from lam, so
     the cuts, 80/(q(1 - delta)) long, stay in the float range near
-    delta = 1.  Form 1 diverges at 0 exactly when phi is positive on
-    its first piece and delta <= 0 (delta < 0 for the sup); form 2 never
-    does, as delta < 1.  For q = inf each sup is the maximum over a dense
+    delta = 1, and form 1's head cut, 80/(q delta) long, near delta = 0.
+    Form 1 diverges at 0 exactly when phi is positive on its first piece
+    and delta <= 0 (delta < 0 for the sup); form 2 never does, as
+    delta < 1.  For q = inf each sup is the maximum over a dense
     geometric grid, refined three times around the argmax.
     """
     q = parse_exponent(q)
@@ -530,12 +582,16 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
     edges = log_highs.tolist()
     inner = list(zip(edges, edges[1:]))
 
-    def norm(h: Callable[[np.ndarray], np.ndarray], pieces) -> float:
-        total = sum(
+    def integral(h: Callable[[np.ndarray], np.ndarray], pieces) -> float:
+        return sum(
             adaptive_gauss_oracle(lambda lam: h(lam) ** qf, lo, hi)
             for lo, hi in pieces
         )
-        return total ** (1 / qf)
+
+    def head1(lam: np.ndarray) -> np.ndarray:
+        # Phi(t) = phi_0 t on the first piece, so t^{delta-1} Phi(t) is
+        # phi_0 t^delta, taken from lam as one power
+        return vals[0] * np.exp(delta * lam)
 
     last = edges[-1]
     tail1 = [(last, last + 80 / (qf * (1 - delta)))]
@@ -544,9 +600,11 @@ def hardy_lhs_oracle(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[
         lhs1 = math.inf
     else:
         # Phi vanishes on the first piece unless phi is positive there
-        head1 = [(edges[0] - 80 / (qf * delta), edges[0])] if vals[0] > 0 else []
-        lhs1 = norm(form1, head1 + inner + tail1)
-    return lhs1, norm(form2, head2 + inner)
+        total = integral(form1, inner + tail1)
+        if vals[0] > 0:
+            total += integral(head1, [(edges[0] - 80 / (qf * delta), edges[0])])
+        lhs1 = total ** (1 / qf)
+    return lhs1, integral(form2, head2 + inner) ** (1 / qf)
 
 
 def hardy_lhs_mp(phi: StepFunction, delta: float, q: ExponentLike) -> Tuple[float, float]:

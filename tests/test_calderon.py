@@ -28,6 +28,7 @@ from tflab import (
     lorentz_norm,
     rearrangement,
     sample_functions,
+    stft,
     young_check,
 )
 from tflab import calderon
@@ -35,6 +36,7 @@ from tflab.verify import SAMPLE_KINDS, majorization_check
 
 from oracles import (
     adaptive_gauss_oracle,
+    calderon_cells_oracle,
     calderon_exact_oracle,
     hardy_lhs_mp,
     hardy_lhs_oracle,
@@ -267,6 +269,17 @@ def test_hardy_lhs_matches_defining_integrals_near_delta_one(delta, q) -> None:
         assert got == pytest.approx(exact, rel=1e-8), (got, exact)
 
 
+@pytest.mark.parametrize("q", [2, "3/2"])
+@pytest.mark.parametrize("delta", [0.02, 0.05])
+def test_hardy_lhs_matches_defining_integrals_near_delta_zero(delta, q) -> None:
+    # phi is positive on its first piece, where the oracle's form-1 head cut
+    # is 80/(q delta) long in log t
+    phi = StepFunction([0.5, 2.0], [1.0, 0.5])
+    res = hardy_check(phi, delta, q)
+    for got, exact in zip((res.lhs1, res.lhs2), hardy_lhs_oracle(phi, delta, q)):
+        assert got == pytest.approx(exact, rel=1e-8), (got, exact)
+
+
 @pytest.mark.parametrize("q", [2, 4, 6, 8])
 @pytest.mark.parametrize("delta", [0.25, 0.75])
 def test_hardy_lhs_matches_mpmath_reference(delta, q) -> None:
@@ -466,6 +479,35 @@ def test_corner_form_error_grows_as_inverse_piece_width() -> None:
                     np.testing.assert_allclose(got, want, rtol=rel, atol=0)
 
 
+@pytest.mark.parametrize("orders", [[6], [12], [4, 6], [32]])
+def test_corner_sums_match_cell_by_cell_oracle(orders) -> None:
+    # the sorted-gap sums against every (branch, corner, corner) cell taken
+    # on its own (worst relative gap measured: 2.6e-15); the two kernels
+    # without a sqrt branch are inf wherever f*(0+) > 0
+    ts = np.append(np.geomspace(1e-4, 4.0**60, 61), 1.0)
+    kernels = (ETA_SQRT_MIN, ETA_SEPARABLE, EtaSet([(1, 0, 0)]), EtaSet([(0, 0, 0)]))
+    for kind in SAMPLE_KINDS:
+        for seed in range(3):
+            f, g = sample_functions(kind, FiniteAbelianGroup(orders), seed)
+            fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
+            for eta in kernels:
+                got = calderon_apply(eta, fstar, gstar, ts)
+                want = calderon_cells_oracle(eta, fstar, gstar, ts)
+                assert np.array_equal(np.isinf(got), np.isinf(want))
+                finite = np.isfinite(want)
+                np.testing.assert_allclose(got[finite], want[finite], rtol=1e-13, atol=0)
+
+
+def test_majorization_on_z64_matches_cell_by_cell_oracle() -> None:
+    # 4,096 pieces of (V_g f)*, each against S from the cell-by-cell oracle
+    f, g = sample_functions("gaussian-random", FiniteAbelianGroup([64]), 0)
+    hstar = rearrangement(stft(f, g).to_measured())
+    fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
+    s_vals = calderon_cells_oracle(ETA_SQRT_MIN, fstar, gstar, hstar.breaks)
+    want = float(np.max(hstar.values / s_vals))
+    assert majorization_check(f, g) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_calderon_apply_array_matches_scalar_calls() -> None:
     # the 100 values of t fit in one pass of the evaluator, a scalar t is a
     # pass of its own
@@ -479,12 +521,24 @@ def test_calderon_apply_array_matches_scalar_calls() -> None:
     assert calderon_apply(ETA_SQRT_MIN, f, g, np.array([])).shape == (0,)
 
 
-def corner_values_at_each_budget(monkeypatch, compute) -> list:
-    """compute() with the evaluator taking one t per pass, its default cell
-    budget, and every t in one pass."""
+def corner_values_at_each_split(monkeypatch, compute) -> list:
+    """compute() with the evaluator handed its t values one per call, in
+    runs of random length, and all in one call."""
+    corners = calderon._calderon_corners
+    rng = np.random.default_rng(24)
+    splits = (
+        lambda n: np.arange(1, n),
+        lambda n: np.flatnonzero(rng.random(max(n - 1, 0)) < 0.2) + 1,
+        lambda n: [],
+    )
     runs = []
-    for cells in (1, calderon._CORNER_CELLS, 2**30):
-        monkeypatch.setattr(calderon, "_CORNER_CELLS", cells)
+    for cuts in splits:
+
+        def split_calls(eta, fstar, gstar, ts, cuts=cuts):
+            parts = [corners(eta, fstar, gstar, part) for part in np.split(ts, cuts(ts.size))]
+            return np.concatenate(parts)
+
+        monkeypatch.setattr(calderon, "_calderon_corners", split_calls)
         runs.append(compute())
     monkeypatch.undo()
     return runs
@@ -493,8 +547,8 @@ def corner_values_at_each_budget(monkeypatch, compute) -> list:
 @pytest.mark.parametrize("orders", [[6], [12]])
 @pytest.mark.parametrize("kind", SAMPLE_KINDS)
 def test_corner_form_same_bits_at_any_block_size(monkeypatch, orders, kind) -> None:
-    # every cell is computed elementwise and every sum runs over one t's
-    # own axes, so how the t values are split into passes changes no bit
+    # each t is a gather from sums that do not depend on t, so how the t
+    # values are split across evaluator calls changes no bit
     f, g = sample_functions(kind, FiniteAbelianGroup(orders), 4)
     fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
     ts = np.geomspace(1e-4, 1e4, 97)
@@ -508,7 +562,7 @@ def test_corner_form_same_bits_at_any_block_size(monkeypatch, orders, kind) -> N
             majorization_check(f, g),
         ]
 
-    first, *others = corner_values_at_each_budget(monkeypatch, compute)
+    first, *others = corner_values_at_each_split(monkeypatch, compute)
     assert all(other == first for other in others)
 
 
@@ -537,14 +591,15 @@ def test_corner_form_same_bits_at_any_block_size_edge_cases(monkeypatch) -> None
         out.append(calderon_t_functional(zero, one, 4, 2))
         return out
 
-    first, *others = corner_values_at_each_budget(monkeypatch, compute)
+    first, *others = corner_values_at_each_split(monkeypatch, compute)
     assert all(other == first for other in others)
     assert math.inf in first and 0.0 in first
 
 
-def test_corner_form_memory_bounded_by_cell_budget() -> None:
-    # 64 pieces each on Z_64: a pass of 32 t would make each temporary of
-    # the evaluator 32 * 3 * 64 * 64 floats (3 MiB); the budget allows one t
+def test_corner_form_memory_bounded_on_z64() -> None:
+    # 64 pieces each on Z_64: the evaluator's arrays are one per branch over
+    # the 4,096 sorted pairs (32 KiB each), and one (t, branch) entry per t;
+    # a (t, branch, f* corner, g* corner) array for 32 t would be 3 MiB
     f, g = sample_functions("gaussian-random", FiniteAbelianGroup([64]), 2)
     fstar, gstar = (rearrangement(h.to_measured()) for h in (f, g))
     assert len(fstar) == len(gstar) == 64
@@ -712,7 +767,7 @@ def test_t_functional_sup_form_sample_kinds(kind) -> None:
     assert got == pytest.approx(brute_sup(fstar, gstar, 4), rel=2e-6)
 
 
-@pytest.mark.parametrize("w, most", [(math.inf, 40), (2, 4)])
+@pytest.mark.parametrize("w, most", [(math.inf, 40), (2, 2)])
 def test_t_functional_evaluator_calls(monkeypatch, w, most) -> None:
     # one call for S(1) and the tail candidates, then one per refinement level
     calls = []
